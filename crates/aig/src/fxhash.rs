@@ -2,10 +2,11 @@
 //!
 //! Two things live here:
 //!
-//! * [`FNV_OFFSET`] / [`fnv1a_mix`] — the one FNV-1a mixing step behind
-//!   every stable fingerprint in the tree (structural graph fingerprints,
-//!   pass/pipeline fingerprints, the sweep's signature-bucket hashes, the
-//!   compile cache's budget fingerprints in `lsml-core`);
+//! * [`FNV_OFFSET`] / [`fnv1a_mix`] / [`fnv1a`] — the one FNV-1a mixing
+//!   step behind every stable fingerprint and checksum in the tree
+//!   (structural graph fingerprints, pass/pipeline fingerprints, the
+//!   sweep's signature-bucket hashes, the compile cache's budget
+//!   fingerprints in `lsml-core`, snapshot and checkpoint checksums);
 //! * `FxHasher` — a multiply-rotate map hasher (rustc's FxHash recipe) for
 //!   the crate's hot maps. The structural hash, the rewrite pass's
 //!   table → entry cache, and the sweep's buckets all probe maps millions
@@ -23,6 +24,15 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[inline]
 pub fn fnv1a_mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// FNV-1a over bytes: pass names in pipeline fingerprints, and the
+/// checksums of the serve snapshots and suite checkpoints (corruption
+/// *detection*, not security).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| fnv1a_mix(h, u64::from(b)))
 }
 
 /// Multiply-rotate hasher: `h = (rotl(h, 5) ^ v) * K` per written word.
@@ -105,6 +115,13 @@ mod tests {
             assert_eq!(m.get(&(i, i.wrapping_mul(7))), Some(&(u64::from(i) << 3)));
         }
         assert_eq!(m.get(&(1000, 7000)), None);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

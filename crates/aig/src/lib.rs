@@ -17,6 +17,8 @@
 //!   tables (arena-backed) and semi-canonical NPN canonization with the
 //!   optimal-structure library.
 //! * [`rewrite`] — DAG-aware cut/NPN rewriting (ABC's `rewrite`).
+//! * [`lru`] — the lock-striped, byte-budgeted LRU map under the compile
+//!   cache, the fixpoint cache and the NPN library.
 //! * [`sweep`] — simulation-guided equivalence sweeping.
 //! * [`opt`] — the composable [`Pass`](opt::Pass) /
 //!   [`Pipeline`](opt::Pipeline) layer chaining the exact passes
@@ -51,6 +53,7 @@ pub mod circuits;
 pub mod cut;
 pub mod fxhash;
 pub mod lit;
+pub mod lru;
 pub mod npn;
 pub mod opt;
 pub mod par;

@@ -35,15 +35,15 @@
 //!
 //! The structure library is keyed by the semi-canonical form; exact
 //! canonization results and class structures are memoized process-wide
-//! behind [`NpnLibrary::global`].
+//! behind [`NpnLibrary::global`], in never-evicting
+//! [`crate::lru::ShardedLru`] maps (model-checked in `tests/loom_lru.rs`).
 
-use std::collections::HashMap;
-
-use loom::sync::{Arc, Mutex, OnceLock};
+use loom::sync::{Arc, OnceLock};
 
 use crate::aig::Aig;
 use crate::cut::{cofactor0, cofactor1, flip_var, swap_down, MAX_LEAVES, VAR_TT};
 use crate::lit::Lit;
+use crate::lru::{ShardKey, ShardedLru};
 
 /// Broadcasts a 4-variable table through the 64-bit vacuous-extended layout.
 pub fn broadcast16(tt: u16) -> u64 {
@@ -683,100 +683,35 @@ impl LibEntry6 {
 // The process-wide library.
 // ---------------------------------------------------------------------------
 
-/// Number of stripes in each library map. A fixed power of two: the shard
-/// index is the top bits of a multiplicative hash of the key.
-const NPN_SHARDS: usize = 16;
-
-/// Keys a [`Striped`] map can shard on.
-trait ShardKey: std::hash::Hash + Eq + Copy {
-    /// A well-mixed 64-bit hash of the key (only the top bits select the
-    /// shard, so the finalizer must mix into the high bits).
-    fn shard_hash(&self) -> u64;
-}
-
-impl ShardKey for u16 {
-    fn shard_hash(&self) -> u64 {
-        u64::from(*self).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
-impl ShardKey for u64 {
-    fn shard_hash(&self) -> u64 {
-        self.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
-/// A lock-striped memo map: keys hash onto one of [`NPN_SHARDS`] stripes,
-/// each behind its own facade `Mutex`, so concurrent rewriting workers
-/// probing different keys almost never contend. All synchronization routes
-/// through `loom::sync`, so the model-check build swaps in shadow
-/// primitives here like everywhere else.
-struct Striped<K, V> {
-    shards: [Mutex<HashMap<K, V>>; NPN_SHARDS],
-}
-
-impl<K: ShardKey, V: Clone> Striped<K, V> {
-    fn new() -> Striped<K, V> {
-        Striped {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, k: &K) -> &Mutex<HashMap<K, V>> {
-        &self.shards[(k.shard_hash() >> 60) as usize & (NPN_SHARDS - 1)]
-    }
-
-    /// Probe, holding only the key's stripe.
-    fn get(&self, k: &K) -> Option<V> {
-        self.shard(k).lock().expect("library lock").get(k).cloned()
-    }
-
-    /// First-insert-wins publish: a racing duplicate computation is
-    /// discarded and the resident value returned, so results are
-    /// deterministic no matter which worker finishes first.
-    fn publish(&self, k: K, v: V) -> V {
-        self.shard(&k)
-            .lock()
-            .expect("library lock")
-            .entry(k)
-            .or_insert(v)
-            .clone()
-    }
-
-    /// Total entries across every stripe (takes each stripe lock in turn).
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("library lock").len())
-            .sum()
-    }
-}
-
-impl<K: ShardKey, V: Clone> Default for Striped<K, V> {
-    fn default() -> Self {
-        Striped::new()
-    }
-}
-
 /// The process-wide structure library: canonization results and class
 /// structures are computed once and memoized. Every rewriting call shares
-/// the same instance via [`NpnLibrary::global`]. Each map is lock-striped
-/// ([`Striped`]): the old single-`Mutex`-per-map design serialized every
-/// worker of a batched compile behind one lock per probe.
+/// the same instance via [`NpnLibrary::global`]. Each map is a lock-striped
+/// [`ShardedLru`] with an unbounded budget (it never evicts; the whole
+/// library is a few thousand small entries): the old single-`Mutex`-per-map
+/// design serialized every worker of a batched compile behind one lock per
+/// probe.
 #[derive(Default)]
 pub struct NpnLibrary {
     /// 16-bit exact canonization memo.
-    canon_memo: Striped<u16, NpnClass>,
+    canon_memo: ShardedLru<u16, NpnClass>,
     /// 4-variable class structures, keyed by class representative.
-    structures: Striped<u16, Arc<Aig>>,
+    structures: ShardedLru<u16, Arc<Aig>>,
     /// The hot-path map: semi-canonical key → (key-to-representative
     /// transform, representative structure).
-    semi_entries: Striped<u64, (NpnTransform6, Arc<Aig>)>,
+    semi_entries: ShardedLru<u64, (NpnTransform6, Arc<Aig>)>,
     /// Exact 6-variable canonization memo (keyed by semi-canonical key;
     /// consulted only on `semi_entries` misses).
-    canon6_memo: Striped<u64, (u64, NpnTransform6)>,
+    canon6_memo: ShardedLru<u64, (u64, NpnTransform6)>,
     /// 5–6-variable class structures, keyed by exact class representative.
-    structures6: Striped<u64, Arc<Aig>>,
+    structures6: ShardedLru<u64, Arc<Aig>>,
+}
+
+/// First-insert-wins publish into a library map: a racing duplicate
+/// computation is discarded and the resident value returned, so results are
+/// deterministic no matter which worker finishes first. The library never
+/// evicts, so an entry's recorded cost is just its shallow size.
+fn publish<K: ShardKey, V: Clone>(map: &ShardedLru<K, V>, k: K, v: V) -> V {
+    map.insert(k, v, std::mem::size_of::<(K, V)>())
 }
 
 impl NpnLibrary {
@@ -788,26 +723,26 @@ impl NpnLibrary {
 
     /// Number of distinct 4-variable NPN classes materialized so far.
     pub fn num_classes(&self) -> usize {
-        self.structures.len()
+        self.structures.stats().entries
     }
 
     /// Number of semi-canonical keys with a cached entry.
     pub fn num_semi_entries(&self) -> usize {
-        self.semi_entries.len()
+        self.semi_entries.stats().entries
     }
 
     /// Memoized exact 16-bit canonization.
     fn canon4(&self, tt: u16) -> NpnClass {
         self.canon_memo
             .get(&tt)
-            .unwrap_or_else(|| self.canon_memo.publish(tt, canonize(tt)))
+            .unwrap_or_else(|| publish(&self.canon_memo, tt, canonize(tt)))
     }
 
     /// The shared 4-variable class structure for representative `canon`.
     fn structure4(&self, canon: u16) -> Arc<Aig> {
         self.structures.get(&canon).unwrap_or_else(|| {
             let s = Arc::new(synthesize(canon));
-            self.structures.publish(canon, s)
+            publish(&self.structures, canon, s)
         })
     }
 
@@ -839,7 +774,7 @@ impl NpnLibrary {
                 let (canon, t2) = self.canon6(semi.key);
                 (t2, self.structure6(canon))
             };
-            self.semi_entries.publish(semi.key, fresh)
+            publish(&self.semi_entries, semi.key, fresh)
         });
         LibEntry6 {
             transform: semi.transform.then(&to_rep),
@@ -851,14 +786,14 @@ impl NpnLibrary {
     fn canon6(&self, key: u64) -> (u64, NpnTransform6) {
         self.canon6_memo
             .get(&key)
-            .unwrap_or_else(|| self.canon6_memo.publish(key, canonize6(key)))
+            .unwrap_or_else(|| publish(&self.canon6_memo, key, canonize6(key)))
     }
 
     /// The shared 5–6-variable class structure for representative `canon`.
     fn structure6(&self, canon: u64) -> Arc<Aig> {
         self.structures6.get(&canon).unwrap_or_else(|| {
             let s = Arc::new(synthesize6(canon));
-            self.structures6.publish(canon, s)
+            publish(&self.structures6, canon, s)
         })
     }
 }

@@ -25,7 +25,9 @@
 //! immediately when asked to optimize such a graph again. That turns the
 //! redundant "exact prelude" of [`crate::approx::reduce`] — and any repeated
 //! compile of a structurally identical candidate — into a hash probe; no
-//! caller has to thread an "already optimized" flag by hand.
+//! caller has to thread an "already optimized" flag by hand. The cache is a
+//! byte-budgeted [`crate::lru::ShardedLru`] (model-checked in
+//! `tests/loom_lru.rs`).
 //!
 //! # Examples
 //!
@@ -59,20 +61,14 @@
 //! assert_eq!(custom.describe(), "balance | rewrite | sweep | cleanup");
 //! ```
 
-use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::aig::Aig;
-use crate::fxhash::{fnv1a_mix, FNV_OFFSET};
+use crate::fxhash::{fnv1a, fnv1a_mix, FNV_OFFSET};
 use crate::lit::Lit;
+use crate::lru::{env_budget, ShardedLru};
 use crate::rewrite::{rewrite, RewriteConfig};
 use crate::sweep::{sweep, SweepConfig};
-
-fn fnv_str(h: u64, s: &str) -> u64 {
-    s.bytes().fold(h, |h, b| fnv1a_mix(h, u64::from(b)))
-}
 
 /// Whether the structural verifiers run after every pass: **`LSML_CHECK=1`**
 /// in the environment (read once per process). Independent of build profile
@@ -98,7 +94,7 @@ pub trait Pass: Send + Sync {
     /// fixpoint cache keys on it). The default hashes only the name —
     /// passes with tunable configuration must fold that in too.
     fn fingerprint(&self) -> u64 {
-        fnv_str(FNV_OFFSET, self.name())
+        fnv1a(self.name().as_bytes())
     }
 }
 
@@ -149,7 +145,7 @@ impl Pass for RewritePass {
         rewrite(aig, &self.0)
     }
     fn fingerprint(&self) -> u64 {
-        let mut h = fnv_str(FNV_OFFSET, self.name());
+        let mut h = fnv1a(self.name().as_bytes());
         h = fnv1a_mix(h, u64::from(self.0.zero_gain));
         h = fnv1a_mix(h, self.0.max_cuts as u64);
         fnv1a_mix(h, self.0.cut_size as u64)
@@ -179,7 +175,7 @@ impl Pass for SweepPass {
     }
     fn fingerprint(&self) -> u64 {
         let cfg = &self.0;
-        let mut h = fnv_str(FNV_OFFSET, self.name());
+        let mut h = fnv1a(self.name().as_bytes());
         for v in [
             cfg.rounds as u64,
             cfg.seed,
@@ -217,167 +213,19 @@ impl Pass for CleanupPass {
     }
 }
 
-/// Lock stripes of the sharded fixpoint cache (a power of two: the shard
-/// index is the top bits of the multiplicatively mixed key hash).
-const FIXPOINT_SHARDS: usize = 16;
-
-/// The shard a key lives in: both key halves are folded together and
-/// Fibonacci-mixed so structurally close fingerprints spread evenly.
-fn fixpoint_shard_of(key: &(u128, u64)) -> usize {
-    let folded = (key.0 as u64) ^ ((key.0 >> 64) as u64) ^ key.1;
-    (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (FIXPOINT_SHARDS - 1)
-}
-
-/// One lock stripe of the fixpoint cache: an LRU-stamped map of (graph
-/// fingerprint, pipeline fingerprint) pairs known to be at a fixpoint.
-/// Entry accounting against the shared byte budget lives in the owning
-/// [`ShardedFixpointCache`]'s atomic, not here.
-#[derive(Default)]
-struct FixpointShard {
-    /// Value = last-touch tick.
-    map: HashMap<(u128, u64), u64>,
-    tick: u64,
-    evictions: u64,
-}
-
-/// The lock-striped, byte-budgeted fixpoint cache: [`FIXPOINT_SHARDS`]
-/// independently locked LRU maps sharing one atomic entry count. Probes
-/// and inserts on different shards never contend. The budget (entry
-/// capacity derived from `LSML_FIXPOINT_CACHE_BYTES`) is global: when the
-/// shared count exceeds it, the inserting shard evicts its
-/// least-recently-touched quarter (never the whole cache), so long
-/// portfolio sweeps keep their hot entries while cold ones age out.
-struct ShardedFixpointCache {
-    shards: [Mutex<FixpointShard>; FIXPOINT_SHARDS],
-    /// Resident entries across all shards.
-    entries: AtomicU64,
-}
-
-impl ShardedFixpointCache {
-    /// LRU-refreshing membership probe in the key's shard.
-    fn probe(&self, key: (u128, u64)) -> bool {
-        self.shards[fixpoint_shard_of(&key)]
-            .lock()
-            .expect("fixpoint cache lock")
-            .probe(key)
-    }
-
-    /// Records `key` as a known fixpoint, then enforces the shared entry
-    /// budget: while the global count exceeds the capacity, the inserting
-    /// shard drops its least-recently-touched quarter, and remaining
-    /// pressure is relieved by sweeping the other shards one lock at a
-    /// time (never holding two shard locks at once).
-    fn insert(&self, key: (u128, u64)) {
-        let cap = (fixpoint_cache_budget() / FIXPOINT_ENTRY_BYTES).max(16) as u64;
-        self.insert_with_cap(key, cap);
-    }
-
-    /// [`ShardedFixpointCache::insert`] with an explicit entry capacity
-    /// (shared with the loom model surface, which pins tiny capacities).
-    fn insert_with_cap(&self, key: (u128, u64), cap: u64) {
-        let idx = fixpoint_shard_of(&key);
-        {
-            let mut st = self.shards[idx].lock().expect("fixpoint cache lock");
-            if st.insert(key) {
-                self.entries.fetch_add(1, Ordering::Relaxed);
-            }
-            while self.entries.load(Ordering::Relaxed) > cap && st.map.len() > 1 {
-                let dropped = st.evict_quarter();
-                self.entries.fetch_sub(dropped as u64, Ordering::Relaxed);
-            }
-        }
-        // Remaining pressure sits in other stripes: sweep them one lock at
-        // a time (never two at once), draining a stripe entirely if need
-        // be — only the inserting shard is guaranteed to keep its newest
-        // entry.
-        let mut i = (idx + 1) % FIXPOINT_SHARDS;
-        while self.entries.load(Ordering::Relaxed) > cap && i != idx {
-            let mut st = self.shards[i].lock().expect("fixpoint cache lock");
-            while self.entries.load(Ordering::Relaxed) > cap && !st.map.is_empty() {
-                let dropped = st.evict_quarter();
-                self.entries.fetch_sub(dropped as u64, Ordering::Relaxed);
-            }
-            drop(st);
-            i = (i + 1) % FIXPOINT_SHARDS;
-        }
-    }
-
-    /// Empties every shard (eviction counters keep running).
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut st = shard.lock().expect("fixpoint cache lock");
-            let dropped = st.map.len();
-            st.map.clear();
-            self.entries.fetch_sub(dropped as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// `(resident entries, evictions)` summed over shards.
-    fn totals(&self) -> (usize, u64) {
-        let mut evictions = 0u64;
-        for shard in &self.shards {
-            evictions += shard.lock().expect("fixpoint cache lock").evictions;
-        }
-        (self.entries.load(Ordering::Relaxed) as usize, evictions)
-    }
-
-    /// Checks the accounting invariant against an explicit capacity: the
-    /// shared atomic must equal the per-shard map sizes' sum, and the
-    /// resident count must not exceed `cap`. Holds **every** shard lock
-    /// while reading — mutations only ever happen under some shard lock
-    /// (one at a time), so this observes a consistent snapshot even while
-    /// inserts race on other threads, and cannot deadlock.
-    fn verify_with_cap(&self, cap: usize) -> Result<(), String> {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("fixpoint cache lock"))
-            .collect();
-        let sum: usize = guards.iter().map(|st| st.map.len()).sum();
-        let accounted = self.entries.load(Ordering::Relaxed) as usize;
-        if sum != accounted {
-            return Err(format!(
-                "fixpoint cache entry count drifted: accounted {accounted} != resident {sum}"
-            ));
-        }
-        if sum > cap {
-            return Err(format!(
-                "fixpoint cache holds {sum} entries, budget caps it at {cap}"
-            ));
-        }
-        Ok(())
-    }
-
-    /// [`ShardedFixpointCache::verify_with_cap`] against the env-derived
-    /// budget.
-    fn verify(&self) -> Result<(), String> {
-        self.verify_with_cap((fixpoint_cache_budget() / FIXPOINT_ENTRY_BYTES).max(16))
-    }
-}
-
-fn fixpoint_cache() -> &'static ShardedFixpointCache {
-    static CACHE: OnceLock<ShardedFixpointCache> = OnceLock::new();
-    CACHE.get_or_init(|| ShardedFixpointCache {
-        shards: std::array::from_fn(|_| Mutex::new(FixpointShard::default())),
-        entries: AtomicU64::new(0),
-    })
-}
-
 /// Estimated bytes per fixpoint-cache entry (key + tick + table overhead).
 const FIXPOINT_ENTRY_BYTES: usize = 64;
 
-/// The fixpoint cache's byte budget: `LSML_FIXPOINT_CACHE_BYTES` when set to
-/// a positive integer, otherwise a generous 8 MiB (~128k entries). Listed
-/// with every other `LSML_*` runtime knob in the [`crate::par`] module
-/// docs.
-fn fixpoint_cache_budget() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("LSML_FIXPOINT_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(8 << 20)
+/// The process-wide fixpoint cache: a [`ShardedLru`] of (graph fingerprint,
+/// pipeline fingerprint) pairs known to be at a fixpoint. Its budget is
+/// `LSML_FIXPOINT_CACHE_BYTES` (default 8 MiB, ~128k entries), never less
+/// than 16 entries. Listed with every other `LSML_*` runtime knob in the
+/// [`crate::par`] module docs.
+fn fixpoint_cache() -> &'static ShardedLru<(u128, u64), ()> {
+    static CACHE: OnceLock<ShardedLru<(u128, u64), ()>> = OnceLock::new();
+    CACHE.get_or_init(|| {
+        let budget = env_budget("LSML_FIXPOINT_CACHE_BYTES", 8 << 20);
+        ShardedLru::new(budget.max(16 * FIXPOINT_ENTRY_BYTES))
     })
 }
 
@@ -390,15 +238,28 @@ pub fn fixpoint_cache_clear() {
 /// `(live entries, LRU evictions so far)` of the process-wide fixpoint
 /// cache, summed over its lock stripes.
 pub fn fixpoint_cache_stats() -> (usize, u64) {
-    fixpoint_cache().totals()
+    let s = fixpoint_cache().stats();
+    (s.entries, s.evictions)
 }
 
 /// Checks the fixpoint cache's budget and accounting invariants: the
-/// shared entry count must match the per-shard maps, and never exceed the
-/// configured capacity after an insert has completed. Concurrency stress
-/// tests call this between hammer rounds.
+/// shared byte total must match the resident entries, and never exceed the
+/// configured budget after an insert has completed. Concurrency stress
+/// tests call this between hammer rounds, with the cache quiescent.
 pub fn fixpoint_cache_verify() -> Result<(), String> {
-    fixpoint_cache().verify()
+    let cache = fixpoint_cache();
+    cache
+        .verify(|_| FIXPOINT_ENTRY_BYTES)
+        .map_err(|e| format!("fixpoint cache {e}"))?;
+    let s = cache.stats();
+    if s.bytes > s.budget_bytes {
+        return Err(format!(
+            "fixpoint cache holds {} entries, budget caps it at {}",
+            s.entries,
+            s.budget_bytes / FIXPOINT_ENTRY_BYTES
+        ));
+    }
+    Ok(())
 }
 
 /// Every (graph fingerprint, pipeline fingerprint) pair currently known to
@@ -406,14 +267,11 @@ pub fn fixpoint_cache_verify() -> Result<(), String> {
 /// contents export identical snapshots). Warm-start persistence
 /// (`lsml-serve`) serializes this; pair with [`fixpoint_cache_import`].
 pub fn fixpoint_cache_export() -> Vec<(u128, u64)> {
-    let cache = fixpoint_cache();
-    let mut keys = Vec::new();
-    for shard in &cache.shards {
-        let st = shard.lock().expect("fixpoint cache lock");
-        keys.extend(st.map.keys().copied());
-    }
-    keys.sort_unstable();
-    keys
+    fixpoint_cache()
+        .export()
+        .into_iter()
+        .map(|(key, ())| key)
+        .collect()
 }
 
 /// Re-seeds the fixpoint cache with previously exported keys (a warm boot
@@ -422,111 +280,7 @@ pub fn fixpoint_cache_export() -> Vec<(u128, u64)> {
 pub fn fixpoint_cache_import(keys: &[(u128, u64)]) {
     let cache = fixpoint_cache();
     for &key in keys {
-        cache.insert(key);
-    }
-}
-
-/// Model-check surface (`--cfg lsml_loom` only): a *fresh*, non-global
-/// fixpoint cache with an explicit entry capacity, so `loom::model` bodies
-/// can explore probe/insert/evict races on the sharded design from a known
-/// initial state (the process-wide cache behind a `OnceLock` is
-/// deliberately not modeled).
-#[cfg(lsml_loom)]
-pub mod loom_api {
-    use super::*;
-
-    /// A private fixpoint cache over the same [`ShardedFixpointCache`]
-    /// machinery (same stripes, same shadow `Mutex`es, same shared atomic
-    /// entry count) the process-wide cache uses — but with its own
-    /// capacity instead of the env-derived budget.
-    pub struct LoomFixpointCache {
-        state: ShardedFixpointCache,
-        cap: u64,
-    }
-
-    /// The shard a key maps to — lets models pick keys that land on the
-    /// same stripe (lock contention) or distinct stripes (cross-shard
-    /// accounting).
-    pub fn shard_index(key: (u128, u64)) -> usize {
-        fixpoint_shard_of(&key)
-    }
-
-    /// Number of lock stripes.
-    pub const SHARDS: usize = FIXPOINT_SHARDS;
-
-    impl LoomFixpointCache {
-        /// A fresh cache capped at `cap` entries.
-        pub fn with_capacity(cap: usize) -> Self {
-            LoomFixpointCache {
-                state: ShardedFixpointCache {
-                    shards: std::array::from_fn(|_| Mutex::new(FixpointShard::default())),
-                    entries: AtomicU64::new(0),
-                },
-                cap: cap as u64,
-            }
-        }
-
-        /// LRU-refreshing membership probe.
-        pub fn probe(&self, key: (u128, u64)) -> bool {
-            self.state.probe(key)
-        }
-
-        /// Records `key`, enforcing the entry capacity through the very
-        /// code path the process-wide cache uses (own-shard quarter
-        /// eviction first, then a one-lock-at-a-time sweep of the other
-        /// stripes).
-        pub fn insert(&self, key: (u128, u64)) {
-            self.state.insert_with_cap(key, self.cap);
-        }
-
-        /// `(resident entries, evictions)` over all shards.
-        pub fn stats(&self) -> (usize, u64) {
-            self.state.totals()
-        }
-
-        /// Accounting check: the shared atomic equals the per-shard sum
-        /// and respects the capacity. Takes a consistent all-locks
-        /// snapshot, so it is sound even while inserts race.
-        pub fn verify(&self) -> Result<(), String> {
-            self.state.verify_with_cap(self.cap as usize)
-        }
-    }
-}
-
-impl FixpointShard {
-    /// LRU-refreshing membership probe.
-    fn probe(&mut self, key: (u128, u64)) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(&key) {
-            Some(t) => {
-                *t = tick;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Inserts `key`; true when it was not already resident (the caller
-    /// bumps the shared entry count by exactly the net growth).
-    fn insert(&mut self, key: (u128, u64)) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(key, tick).is_none()
-    }
-
-    /// Evicts the least-recently-touched quarter of this shard in one
-    /// pass; returns how many entries were dropped.
-    fn evict_quarter(&mut self) -> usize {
-        let mut ticks: Vec<u64> = self.map.values().copied().collect();
-        let cut = ticks.len() / 4;
-        ticks.select_nth_unstable(cut);
-        let threshold = ticks[cut];
-        let before = self.map.len();
-        self.map.retain(|_, t| *t > threshold);
-        let dropped = before - self.map.len();
-        self.evictions += dropped as u64;
-        dropped
+        cache.insert(key, (), FIXPOINT_ENTRY_BYTES);
     }
 }
 
@@ -654,7 +408,10 @@ impl Pipeline {
             return best;
         }
         let pipe_fp = self.fingerprint();
-        if fixpoint_cache().probe((best.structural_fingerprint(), pipe_fp)) {
+        if fixpoint_cache()
+            .get(&(best.structural_fingerprint(), pipe_fp))
+            .is_some()
+        {
             return best;
         }
         let mut converged = false;
@@ -689,7 +446,11 @@ impl Pipeline {
             }
         }
         if converged {
-            fixpoint_cache().insert((best.structural_fingerprint(), pipe_fp));
+            fixpoint_cache().insert(
+                (best.structural_fingerprint(), pipe_fp),
+                (),
+                FIXPOINT_ENTRY_BYTES,
+            );
         }
         best
     }

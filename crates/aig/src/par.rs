@@ -20,8 +20,8 @@
 //! | `LSML_PAR_PASSES` | `1` (enabled) | Escape hatch for in-pass parallelism. `0`/`false`/`off` forces cut enumeration, sweep and the NPN lane walk to run serially even when the pool has workers. Output is bit-identical either way. |
 //! | `LSML_FORCE_SCALAR` | unset | Forces the scalar fallback kernels in `lsml-pla` (`kernels` module), bypassing the SIMD dispatch. |
 //! | `LSML_CHECK` | unset | `1` enables the expensive debug verifiers in release builds: AIG invariant sweeps between pipeline passes (`crate::opt`) and CSR audits after cut enumeration (`crate::cut`). |
-//! | `LSML_COMPILE_CACHE_BYTES` | 256 MiB | Byte budget of the process-wide sharded compile cache (`lsml-core`, `compile` module). `0` disables caching. |
-//! | `LSML_FIXPOINT_CACHE_BYTES` | 8 MiB | Byte budget of the sharded pipeline fixpoint cache ([`crate::opt`]). |
+//! | `LSML_COMPILE_CACHE_BYTES` | 256 MiB | Byte budget of the process-wide sharded compile cache (`lsml-core`, `compile` module), read once by [`crate::lru::env_budget`]: a positive byte count, whitespace trimmed; `0` or an unparsable value falls back to the default. |
+//! | `LSML_FIXPOINT_CACHE_BYTES` | 8 MiB | Byte budget of the sharded pipeline fixpoint cache ([`crate::opt`]), read once by [`crate::lru::env_budget`] like the compile cache's; never below 16 entries (1 KiB). |
 //! | `LSML_LOOM_REPLAY` | unset | In `--cfg lsml_loom` builds: replays a single recorded interleaving (the failure trace printed by the `loom` runtime) instead of exploring. |
 //! | `LSML_SERVE_ADDR` | `127.0.0.1:7171` | Listen address of the `lsml-serve` daemon (`lsml-serve` crate, `server` module). |
 //! | `LSML_SERVE_WORKERS` | `4` | Worker threads popping the daemon's request queue. |

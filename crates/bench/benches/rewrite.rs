@@ -35,7 +35,8 @@ use lsml_aig::circuits;
 use lsml_aig::opt::{BalancePass, CleanupPass, Pipeline};
 use lsml_aig::Aig;
 use lsml_benchgen::{suite, SampleConfig};
-use lsml_core::{compile_cache_stats, LearnedCircuit, SizeBudget};
+use lsml_core::compile::compile_cache_detail;
+use lsml_core::{LearnedCircuit, SizeBudget};
 use lsml_dtree::{
     DecisionTree, GradientBoost, GradientBoostConfig, RandomForest, RandomForestConfig, TreeConfig,
 };
@@ -270,7 +271,8 @@ fn main() {
         warm.and_gates(),
         "cache changed the result"
     );
-    let (cache_hits, cache_misses) = compile_cache_stats();
+    let cache = compile_cache_detail();
+    let (cache_hits, cache_misses) = (cache.hits, cache.misses);
     assert!(
         cache_hits >= 1,
         "second identical compile must hit the cache"

@@ -199,6 +199,7 @@ fn facade_rule_applies(rel: &Path) -> bool {
         return true;
     }
     s.ends_with("crates/core/src/compile.rs")
+        || s.ends_with("crates/aig/src/lru.rs")
         || s.ends_with("crates/aig/src/opt.rs")
         || s.ends_with("crates/aig/src/npn.rs")
 }
@@ -353,6 +354,7 @@ mod tests {
     #[test]
     fn facade_scope_includes_the_sharded_cache_modules() {
         assert!(facade_rule_applies(Path::new("crates/core/src/compile.rs")));
+        assert!(facade_rule_applies(Path::new("crates/aig/src/lru.rs")));
         assert!(facade_rule_applies(Path::new("crates/aig/src/opt.rs")));
         assert!(facade_rule_applies(Path::new("crates/aig/src/npn.rs")));
         assert!(!facade_rule_applies(Path::new("crates/aig/src/cut.rs")));

@@ -28,12 +28,14 @@
 //! approximation actually dropped nodes. A hit costs one graph hash and one
 //! map probe instead of a full resyn/approx run; the caller's method label
 //! is applied after the fact, so heterogeneous teams share entries.
-//! [`compile_cache_stats`] exposes hit/miss counters (the `rewrite` bench
-//! records cached-vs-uncached compile timings from them). The cache is a
-//! byte-budgeted LRU (`LSML_COMPILE_CACHE_BYTES`, default 256 MiB): when the
+//! [`compile_cache_detail`] exposes hit/miss/eviction counters and the
+//! resident footprint (the `rewrite` bench records cached-vs-uncached
+//! compile timings from them). The cache is a byte-budgeted
+//! [`lsml_aig::lru::ShardedLru`] (`LSML_COMPILE_CACHE_BYTES`, default
+//! 256 MiB; model-checked in `lsml-aig`'s `tests/loom_lru.rs`): when the
 //! estimated footprint outgrows the budget, the least-recently-touched
-//! quarter of the entries is evicted, so unbounded sweeps stay bounded while
-//! the live working set survives.
+//! quarter of a stripe's entries is evicted, so unbounded sweeps stay
+//! bounded while the live working set survives.
 //!
 //! # Batched compilation
 //!
@@ -48,12 +50,10 @@
 //! which keeps batched results bit-identical to from-scratch compiles and
 //! lets both paths share cache entries.
 
-use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use lsml_aig::approx::{reduce_traced_with, ApproxConfig};
+use lsml_aig::lru::{env_budget, CacheStats, ShardedLru};
 use lsml_aig::opt::Pipeline;
 use lsml_aig::sweep::SweepConfig;
 use lsml_aig::{Aig, Lit};
@@ -173,165 +173,6 @@ struct CachedCompile {
     approximated: bool,
 }
 
-/// One LRU slot: the memoized result, its estimated footprint, and the
-/// logical clock of its last touch.
-struct CacheEntry {
-    value: Arc<CachedCompile>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// Lock stripes of the sharded compile cache. A power of two: the shard
-/// index is the top bits of the multiplicatively mixed key hash.
-const COMPILE_SHARDS: usize = 16;
-
-/// The shard a key lives in: both key halves are folded together and
-/// Fibonacci-mixed so structurally close fingerprints spread evenly.
-fn shard_of(key: &(u128, u64)) -> usize {
-    let folded = (key.0 as u64) ^ ((key.0 >> 64) as u64) ^ key.1;
-    (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (COMPILE_SHARDS - 1)
-}
-
-/// The LRU-managed interior of one compile-cache shard. Byte accounting
-/// lives in the owning [`ShardedCompileCache`]'s shared atomic, not here:
-/// shard methods report the byte deltas they caused and the wrapper applies
-/// them, so the budget is enforced across all stripes together.
-#[derive(Default)]
-struct CacheState {
-    map: HashMap<(u128, u64), CacheEntry>,
-    tick: u64,
-    evictions: u64,
-}
-
-/// A lock-striped, byte-budgeted compile cache: [`COMPILE_SHARDS`]
-/// independently locked LRU maps sharing one atomic byte total. Lookups
-/// and inserts for different shards never contend; the byte budget is
-/// global, enforced first against the inserting shard's own LRU tail and —
-/// if the cache is still over budget — by sweeping the other stripes one
-/// lock at a time (never holding two shard locks at once, so lock order
-/// cannot deadlock).
-struct ShardedCompileCache {
-    shards: [Mutex<CacheState>; COMPILE_SHARDS],
-    /// Estimated resident bytes across all shards.
-    bytes: AtomicU64,
-}
-
-impl ShardedCompileCache {
-    fn new() -> ShardedCompileCache {
-        ShardedCompileCache {
-            shards: std::array::from_fn(|_| Mutex::new(CacheState::default())),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// LRU-refreshing lookup in the key's shard.
-    fn probe(&self, key: (u128, u64)) -> Option<Arc<CachedCompile>> {
-        self.shards[shard_of(&key)]
-            .lock()
-            .expect("compile cache shard lock")
-            .probe(key)
-    }
-
-    /// Inserts into the key's shard, then enforces the shared byte budget:
-    /// the inserting shard evicts its least-recently-touched quarter while
-    /// the *global* total exceeds `budget`, and remaining pressure is
-    /// relieved by sweeping the other shards one at a time.
-    fn insert(&self, key: (u128, u64), value: Arc<CachedCompile>, budget: usize) {
-        let idx = shard_of(&key);
-        {
-            let mut st = self.shards[idx].lock().expect("compile cache shard lock");
-            let (added, removed) = st.insert(key, value);
-            self.bytes.fetch_add(added as u64, Ordering::Relaxed);
-            self.bytes.fetch_sub(removed as u64, Ordering::Relaxed);
-            while self.bytes.load(Ordering::Relaxed) > budget as u64 && st.map.len() > 1 {
-                let freed = st.evict_quarter();
-                self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            }
-        }
-        // Still over budget: the pressure sits in other stripes. Sweep them
-        // one lock at a time (never two at once), draining a stripe
-        // entirely if need be — only the inserting shard is guaranteed to
-        // keep its newest entry.
-        let mut i = (idx + 1) % COMPILE_SHARDS;
-        while self.bytes.load(Ordering::Relaxed) > budget as u64 && i != idx {
-            let mut st = self.shards[i].lock().expect("compile cache shard lock");
-            while self.bytes.load(Ordering::Relaxed) > budget as u64 && !st.map.is_empty() {
-                let freed = st.evict_quarter();
-                self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            }
-            drop(st);
-            i = (i + 1) % COMPILE_SHARDS;
-        }
-    }
-
-    /// Empties every shard (counters keep running).
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut st = shard.lock().expect("compile cache shard lock");
-            let freed: usize = st.map.values().map(|e| e.bytes).sum();
-            st.map.clear();
-            self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// `(resident entries, accounted bytes, evictions)` summed over shards.
-    fn totals(&self) -> (usize, usize, u64) {
-        let mut entries = 0usize;
-        let mut evictions = 0u64;
-        for shard in &self.shards {
-            let st = shard.lock().expect("compile cache shard lock");
-            entries += st.map.len();
-            evictions += st.evictions;
-        }
-        (
-            entries,
-            self.bytes.load(Ordering::Relaxed) as usize,
-            evictions,
-        )
-    }
-
-    /// Checks that the byte accounting has not drifted: every entry's
-    /// recorded size must match its graph, and the shared atomic must equal
-    /// the sum over all resident entries. Holds **every** shard lock while
-    /// reading — mutations only ever happen under some shard lock (one at
-    /// a time), so this observes a consistent snapshot even while inserts
-    /// race on other threads, and cannot deadlock.
-    fn verify(&self) -> Result<(), String> {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("compile cache shard lock"))
-            .collect();
-        let mut sum = 0usize;
-        for st in &guards {
-            for (key, e) in &st.map {
-                let expect = entry_bytes(&e.value.aig);
-                if e.bytes != expect {
-                    return Err(format!(
-                        "compile cache entry {key:?} records {} bytes, graph is {expect}",
-                        e.bytes
-                    ));
-                }
-                sum += e.bytes;
-            }
-        }
-        let accounted = self.bytes.load(Ordering::Relaxed) as usize;
-        if sum != accounted {
-            return Err(format!(
-                "compile cache bytes drifted: accounted {accounted} != resident sum {sum}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The process-wide compile cache (see the module docs).
-struct CompileCache {
-    state: ShardedCompileCache,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
 /// Estimated resident footprint of one cached compile: per-node storage plus
 /// the strash-map and outputs overhead of the stored graph, plus fixed map
 /// and `Arc` bookkeeping.
@@ -339,129 +180,29 @@ fn entry_bytes(aig: &Aig) -> usize {
     aig.num_nodes() * 48 + 160
 }
 
-/// Byte budget for the compile cache, read once from
+/// The process-wide compile cache (see the module docs). Its byte budget is
 /// `LSML_COMPILE_CACHE_BYTES` (generous 256 MiB default — enough for
 /// thousands of contest-sized graphs; long unattended sweeps can dial it
 /// down, servers can raise it). Listed with every other `LSML_*` runtime
 /// knob in the [`lsml_aig::par`] module docs.
-fn compile_cache_budget() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("LSML_COMPILE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(256 << 20)
-    })
+fn cache() -> &'static ShardedLru<(u128, u64), Arc<CachedCompile>> {
+    static CACHE: OnceLock<ShardedLru<(u128, u64), Arc<CachedCompile>>> = OnceLock::new();
+    CACHE.get_or_init(|| ShardedLru::new(env_budget("LSML_COMPILE_CACHE_BYTES", 256 << 20)))
 }
 
-impl CacheState {
-    /// Looks up `key`, refreshing its LRU tick on a hit.
-    fn probe(&mut self, key: (u128, u64)) -> Option<Arc<CachedCompile>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|e| {
-            e.tick = tick;
-            Arc::clone(&e.value)
-        })
-    }
+/// Compile-cache statistics: the shared [`CacheStats`] shape.
+pub type CompileCacheDetail = CacheStats;
 
-    /// Inserts an entry; returns `(added, replaced)` byte deltas for the
-    /// caller's shared accounting. Never evicts — budget enforcement is the
-    /// wrapper's job (it owns the cross-shard byte total).
-    fn insert(&mut self, key: (u128, u64), value: Arc<CachedCompile>) -> (usize, usize) {
-        self.tick += 1;
-        let bytes = entry_bytes(&value.aig);
-        let replaced = self
-            .map
-            .insert(
-                key,
-                CacheEntry {
-                    value,
-                    bytes,
-                    tick: self.tick,
-                },
-            )
-            .map_or(0, |old| old.bytes);
-        (bytes, replaced)
-    }
-
-    /// Evicts the least-recently-touched quarter of this shard in one O(n)
-    /// sweep (a selection, not a sort — eviction stays cheap even when a
-    /// sweep floods the cache); returns the bytes freed.
-    fn evict_quarter(&mut self) -> usize {
-        let mut ticks: Vec<u64> = self.map.values().map(|e| e.tick).collect();
-        let cut = ticks.len() / 4;
-        let (_, &mut threshold, _) = ticks.select_nth_unstable(cut);
-        let before = self.map.len();
-        let mut freed = 0usize;
-        self.map.retain(|_, e| {
-            if e.tick > threshold {
-                true
-            } else {
-                freed += e.bytes;
-                false
-            }
-        });
-        self.evictions += (before - self.map.len()) as u64;
-        freed
-    }
-}
-
-fn cache() -> &'static CompileCache {
-    static CACHE: OnceLock<CompileCache> = OnceLock::new();
-    CACHE.get_or_init(|| CompileCache {
-        state: ShardedCompileCache::new(),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-/// `(hits, misses)` of the process-wide compile cache since process start.
-pub fn compile_cache_stats() -> (u64, u64) {
-    let c = cache();
-    (
-        c.hits.load(Ordering::Relaxed),
-        c.misses.load(Ordering::Relaxed),
-    )
-}
-
-/// Detailed compile-cache statistics.
-#[derive(Clone, Copy, Debug)]
-pub struct CompileCacheDetail {
-    /// Lifetime cache hits.
-    pub hits: u64,
-    /// Lifetime cache misses.
-    pub misses: u64,
-    /// Lifetime entries evicted by the LRU byte budget.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Estimated resident bytes.
-    pub bytes: usize,
-    /// The configured byte budget.
-    pub budget_bytes: usize,
-}
-
-/// A full snapshot of the compile cache: counters, resident footprint, and
-/// the configured byte budget.
-pub fn compile_cache_detail() -> CompileCacheDetail {
-    let c = cache();
-    let (entries, bytes, evictions) = c.state.totals();
-    CompileCacheDetail {
-        hits: c.hits.load(Ordering::Relaxed),
-        misses: c.misses.load(Ordering::Relaxed),
-        evictions,
-        entries,
-        bytes,
-        budget_bytes: compile_cache_budget(),
-    }
+/// A full snapshot of the compile cache: lifetime hits, misses and
+/// evictions, resident entries and bytes, and the configured byte budget.
+pub fn compile_cache_detail() -> CacheStats {
+    cache().stats()
 }
 
 /// Empties the compile cache (counters keep running). Benchmarks call this
 /// between cold/warm phases so timings measure compilation, not memoization.
 pub fn compile_cache_clear() {
-    cache().state.clear();
+    cache().clear();
 }
 
 /// Checks the process-wide compile cache's byte accounting: the shared
@@ -469,7 +210,9 @@ pub fn compile_cache_clear() {
 /// all shards, and each recorded size must match its graph. Concurrency
 /// stress tests call this between hammer rounds to pin accounting drift.
 pub fn compile_cache_verify() -> Result<(), String> {
-    cache().state.verify()
+    cache()
+        .verify(|c| entry_bytes(&c.aig))
+        .map_err(|e| format!("compile cache {e}"))
 }
 
 /// One exported compile-cache entry: the cache key plus the memoized result
@@ -490,95 +233,33 @@ pub struct CompileCacheEntry {
 /// shutdown; pair with [`compile_cache_import`]. Holds one shard lock at a
 /// time, so live traffic keeps flowing while a snapshot is cut.
 pub fn compile_cache_export() -> Vec<CompileCacheEntry> {
-    let mut out = Vec::new();
-    for shard in &cache().state.shards {
-        let st = shard.lock().expect("compile cache shard lock");
-        out.extend(st.map.iter().map(|(key, e)| CompileCacheEntry {
-            graph_fingerprint: key.0,
-            budget_fingerprint: key.1,
-            aig: e.value.aig.clone(),
-            approximated: e.value.approximated,
-        }));
-    }
-    out.sort_unstable_by_key(|e| (e.graph_fingerprint, e.budget_fingerprint));
-    out
+    cache()
+        .export()
+        .into_iter()
+        .map(
+            |((graph_fingerprint, budget_fingerprint), c)| CompileCacheEntry {
+                graph_fingerprint,
+                budget_fingerprint,
+                aig: c.aig.clone(),
+                approximated: c.approximated,
+            },
+        )
+        .collect()
 }
 
 /// Re-seeds the compile cache from previously exported entries (a warm boot
 /// from a snapshot). Inserts run through the ordinary byte-budget-enforcing
-/// path, so an oversized snapshot is trimmed exactly like live pressure.
+/// path, so an oversized snapshot is trimmed exactly like live pressure; an
+/// entry over a live key keeps the live one (compiles are deterministic per
+/// key, so both hold the same graph).
 pub fn compile_cache_import(entries: impl IntoIterator<Item = CompileCacheEntry>) {
-    let budget = compile_cache_budget();
     for e in entries {
+        let bytes = entry_bytes(&e.aig);
         let value = Arc::new(CachedCompile {
             aig: e.aig,
             approximated: e.approximated,
         });
-        cache()
-            .state
-            .insert((e.graph_fingerprint, e.budget_fingerprint), value, budget);
-    }
-}
-
-/// Model-check surface (`--cfg lsml_loom` only): a *fresh*, non-global
-/// compile-cache state with an explicit byte budget, so `loom::model`
-/// bodies can explore insert/evict/lookup races from a known initial state
-/// (the process-wide cache behind a `OnceLock` is deliberately not modeled —
-/// see the `loom` crate docs on globals).
-#[cfg(lsml_loom)]
-pub mod loom_api {
-    use super::*;
-
-    /// A private compile cache over the same [`ShardedCompileCache`]
-    /// machinery (same stripes, same shadow `Mutex`es, same shared atomic
-    /// byte total) the process-wide cache uses.
-    pub struct LoomCompileCache {
-        state: ShardedCompileCache,
-        budget: usize,
-    }
-
-    /// The shard a key maps to — lets models pick keys that land on the
-    /// same stripe (lock contention) or distinct stripes (cross-shard
-    /// accounting).
-    pub fn shard_index(key: (u128, u64)) -> usize {
-        shard_of(&key)
-    }
-
-    /// Number of lock stripes.
-    pub const SHARDS: usize = COMPILE_SHARDS;
-
-    impl LoomCompileCache {
-        /// A fresh cache with the given byte budget.
-        pub fn with_budget(budget: usize) -> Self {
-            LoomCompileCache {
-                state: ShardedCompileCache::new(),
-                budget,
-            }
-        }
-
-        /// LRU-refreshing lookup; true on hit.
-        pub fn probe(&self, key: (u128, u64)) -> bool {
-            self.state.probe(key).is_some()
-        }
-
-        /// Insert `aig` under `key`, evicting per the shared byte budget.
-        pub fn insert(&self, key: (u128, u64), aig: &Aig) {
-            let entry = Arc::new(CachedCompile {
-                aig: aig.clone(),
-                approximated: false,
-            });
-            self.state.insert(key, entry, self.budget);
-        }
-
-        /// Byte-accounting check (see [`compile_cache_verify`]).
-        pub fn verify(&self) -> Result<(), String> {
-            self.state.verify()
-        }
-
-        /// `(resident entries, accounted bytes, evictions)` over all shards.
-        pub fn stats(&self) -> (usize, usize, u64) {
-            self.state.totals()
-        }
+        cache().insert((e.graph_fingerprint, e.budget_fingerprint), value, bytes);
     }
 }
 
@@ -677,15 +358,12 @@ fn compile_through_flag(
 ) -> (LearnedCircuit, bool) {
     let aig = aig.extract_cone(aig.outputs());
     let key = (aig.structural_fingerprint(), budget.fingerprint(&pipeline));
-    let cached = cache().state.probe(key);
-    if let Some(hit) = cached {
-        cache().hits.fetch_add(1, Ordering::Relaxed);
+    if let Some(hit) = cache().get(&key) {
         return (
             labeled(hit.aig.clone(), hit.approximated, method),
             hit.approximated,
         );
     }
-    cache().misses.fetch_add(1, Ordering::Relaxed);
 
     let optimized = pipeline.run_fixpoint(&aig, budget.rounds.max(1));
     let (result, approximated) =
@@ -711,11 +389,12 @@ fn compile_through_flag(
     // half-optimized graph to every future compile of this key. The token
     // is sticky, so one check after the run covers the whole pipeline.
     if !lsml_aig::cancel::cancelled() {
+        let bytes = entry_bytes(&result);
         let entry = Arc::new(CachedCompile {
             aig: result.clone(),
             approximated,
         });
-        cache().state.insert(key, entry, compile_cache_budget());
+        cache().insert(key, entry, bytes);
     }
     (labeled(result, approximated, method), approximated)
 }
@@ -1331,10 +1010,10 @@ mod tests {
     fn repeated_compiles_hit_the_cache_and_relabel() {
         let g = xor_chain(9);
         let budget = SizeBudget::exact(5000);
-        let (h0, _) = compile_cache_stats();
+        let h0 = compile_cache_detail().hits;
         let a = LearnedCircuit::compile(g.clone(), "team-a", &budget);
         let b = LearnedCircuit::compile(g.clone(), "team-b", &budget);
-        let (h1, _) = compile_cache_stats();
+        let h1 = compile_cache_detail().hits;
         assert!(h1 > h0, "second identical compile must hit the cache");
         // Identical optimized structure, caller-specific labels.
         assert_eq!(

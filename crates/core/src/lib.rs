@@ -38,7 +38,7 @@ pub mod problem;
 pub mod report;
 pub mod teams;
 
-pub use compile::{compile_cache_stats, BudgetVerdict, SizeBudget};
+pub use compile::{BudgetVerdict, SizeBudget};
 pub use eval::Score;
 pub use portfolio::select_best;
 pub use problem::{LearnedCircuit, Learner, Problem};

@@ -10,8 +10,9 @@
 
 use lsml_aig::opt::fixpoint_cache_clear;
 use lsml_aig::{Aig, Lit};
-use lsml_core::compile::{compile_cache_clear, compile_cache_verify, SizeBudget};
-use lsml_core::compile_cache_stats;
+use lsml_core::compile::{
+    compile_cache_clear, compile_cache_detail, compile_cache_verify, SizeBudget,
+};
 use lsml_core::problem::LearnedCircuit;
 use proptest::prelude::*;
 
@@ -53,10 +54,10 @@ proptest! {
         compile_cache_clear();
         fixpoint_cache_clear();
         let cold = LearnedCircuit::compile(raw.clone(), "cold", &budget);
-        let (hits_before, _) = compile_cache_stats();
+        let hits_before = compile_cache_detail().hits;
 
         let warm = LearnedCircuit::compile(raw.clone(), "warm", &budget);
-        let (hits_after, _) = compile_cache_stats();
+        let hits_after = compile_cache_detail().hits;
 
         prop_assert!(
             hits_after > hits_before,

@@ -2,8 +2,9 @@
 //! caches: many std threads hammer insert/lookup/evict simultaneously and
 //! the byte accounting must never drift from the sum of resident entries.
 //!
-//! This is the coarse-grained companion to the exhaustive loom models in
-//! `tests/loom_cache.rs` (built under `--cfg lsml_loom`): loom proves the
+//! This is the coarse-grained companion to the exhaustive loom models of
+//! the shared `lsml_aig::lru::ShardedLru` primitive in `lsml-aig`'s
+//! `tests/loom_lru.rs` (built under `--cfg lsml_loom`): loom proves the
 //! invariant over every interleaving of tiny schedules, this test shakes
 //! the real global caches with real contention.
 

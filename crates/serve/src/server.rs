@@ -500,12 +500,16 @@ fn worker_loop(shared: &Arc<Shared>) {
             Popped::Job { client, cost, item } => {
                 shared.register(item.serial, item.token.clone());
                 let response = execute(shared, &item);
-                item.out.send(&response);
                 shared.unregister(item.serial);
                 // Completion is unconditional — a panicked request must
-                // still refund its tokens or drain would hang.
+                // still refund its tokens or drain would hang — and comes
+                // before the send: a lockstep client's next request must
+                // not find this one's tokens still spent. Every admitted
+                // response is still written before `shutdown_and_join`
+                // returns, since it joins the workers.
                 shared.queue.complete(client, cost);
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+                item.out.send(&response);
             }
         }
     }

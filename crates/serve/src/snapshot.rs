@@ -22,6 +22,7 @@
 use crate::fault::FaultPlan;
 use crate::protocol::Wire;
 use lsml_aig::aiger::{read_aig, write_aig};
+use lsml_aig::fxhash::fnv1a;
 use lsml_aig::opt::{fixpoint_cache_export, fixpoint_cache_import};
 use lsml_core::compile::{compile_cache_export, compile_cache_import, CompileCacheEntry};
 use std::fs;
@@ -90,17 +91,6 @@ impl std::fmt::Debug for Snapshot {
             .field("compile_entries", &self.compile_entries)
             .finish()
     }
-}
-
-/// FNV-1a over bytes — small, dependency-free, and plenty to catch torn
-/// writes and bit flips (this is corruption *detection*, not security).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Snapshot {
@@ -231,13 +221,18 @@ impl Snapshot {
     }
 }
 
-/// Writes `snap` to `path` crash-safely (temp + fsync + rename). The fault
-/// plan can corrupt the bytes (simulating a torn/bit-flipped write) or
-/// abandon the write mid-way (simulating a kill) — both leave the *target*
-/// path in a state `load` handles: the corrupt bytes fail the checksum, the
-/// abandoned write never reaches the target name at all.
+/// Writes `snap` to `path` crash-safely ([`write_atomic`]).
 pub fn save(path: &Path, snap: &Snapshot, fault: &FaultPlan) -> io::Result<()> {
-    let mut bytes = snap.encode();
+    write_atomic(path, snap.encode(), fault)
+}
+
+/// Writes checksummed `bytes` to `path` crash-safely: sibling temp file,
+/// `fsync`, atomic rename, then `fsync` of the directory. The fault plan
+/// can corrupt the bytes (simulating a torn/bit-flipped write) or abandon
+/// the write mid-way (simulating a kill) — both leave the *target* path in
+/// a state a checksum-verifying loader handles: the corrupt bytes fail the
+/// checksum, the abandoned write never reaches the target name at all.
+pub fn write_atomic(path: &Path, mut bytes: Vec<u8>, fault: &FaultPlan) -> io::Result<()> {
     if fault.snapshot_corrupt && !bytes.is_empty() {
         // Flip one payload bit; the checksum must catch it on load.
         let i = bytes.len() / 2;

@@ -10,8 +10,9 @@
 
 use lsml_aig::opt::{fixpoint_cache_clear, fixpoint_cache_export};
 use lsml_aig::{Aig, Lit};
-use lsml_core::compile::{compile_cache_clear, compile_cache_export, SizeBudget};
-use lsml_core::compile_cache_stats;
+use lsml_core::compile::{
+    compile_cache_clear, compile_cache_detail, compile_cache_export, SizeBudget,
+};
 use lsml_core::problem::LearnedCircuit;
 use lsml_serve::snapshot::Snapshot;
 use proptest::prelude::*;
@@ -88,15 +89,15 @@ proptest! {
         // And they *serve*: every recompile is a pure hit with the
         // identical result.
         for (g, cold) in graphs.iter().zip(&cold) {
-            let (hits_before, misses_before) = compile_cache_stats();
+            let before = compile_cache_detail();
             let warm = LearnedCircuit::compile(g.clone(), "warm", &budget);
-            let (hits_after, misses_after) = compile_cache_stats();
+            let after = compile_cache_detail();
             prop_assert!(
-                hits_after > hits_before,
+                after.hits > before.hits,
                 "warm-start compile missed the reinstalled cache"
             );
             prop_assert_eq!(
-                misses_after, misses_before,
+                after.misses, before.misses,
                 "warm-start compile should not miss"
             );
             prop_assert_eq!(

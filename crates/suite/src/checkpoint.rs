@@ -1,9 +1,9 @@
 //! Resumable sweep checkpoints.
 //!
 //! Every N circuits the engine persists `(config fingerprint, cursor,
-//! stats)` in the same crash-safe discipline as PR 9's cache snapshots:
-//! checksummed payload, temp file, `fsync`, atomic rename, directory
-//! `fsync`. Because unit seeds are counter-derived ([`crate::family`]),
+//! stats)` through the cache snapshots' crash-safe write
+//! ([`lsml_serve::snapshot::write_atomic`]): checksummed payload, temp
+//! file, `fsync`, atomic rename, directory `fsync`. Because unit seeds are counter-derived ([`crate::family`]),
 //! the cursor *is* the RNG stream state — nothing else needs saving for a
 //! resumed sweep to be bit-identical to an uninterrupted one.
 //!
@@ -13,11 +13,12 @@
 //! costs progress, never correctness and never a panic.
 
 use crate::stats::SuiteStats;
+use lsml_aig::fxhash::fnv1a;
 use lsml_serve::fault::FaultPlan;
 use lsml_serve::protocol::Wire;
-use lsml_serve::snapshot::fnv1a;
+use lsml_serve::snapshot::write_atomic;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// File magic: "LSML" + "SWP" (sweep) + format generation.
@@ -101,29 +102,7 @@ impl Checkpoint {
 /// load), `snapshot_kill_mid_write` abandons a half-written temp file
 /// without renaming (the target name never holds a torn checkpoint).
 pub fn save(path: &Path, cp: &Checkpoint, fault: &FaultPlan) -> io::Result<()> {
-    let mut bytes = cp.encode();
-    if fault.snapshot_corrupt && !bytes.is_empty() {
-        let i = bytes.len() / 2;
-        bytes[i] ^= 0x10;
-    }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        if fault.snapshot_kill_mid_write {
-            f.write_all(&bytes[..bytes.len() / 2])?;
-            return Ok(());
-        }
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    write_atomic(path, cp.encode(), fault)
 }
 
 /// Loads a checkpoint, or `None` for *any* failure — missing file, torn

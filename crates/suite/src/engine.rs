@@ -42,13 +42,13 @@ use crate::family::{FamilySpec, UnitOracle};
 use crate::ingest;
 use crate::stats::{SuiteStats, UnitClass};
 use lsml_aig::cancel::{with_token, CancelToken};
+use lsml_aig::fxhash::fnv1a;
 use lsml_aig::Aig;
 use lsml_core::problem::LearnedCircuit;
 use lsml_core::SizeBudget;
 use lsml_dtree::tree::{DecisionTree, TreeConfig};
 use lsml_pla::{Dataset, Pattern};
 use lsml_serve::fault::FaultPlan;
-use lsml_serve::snapshot::fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
