@@ -34,6 +34,8 @@
 //! ```
 
 mod mlp;
+#[cfg(test)]
+mod pins;
 mod synth;
 
 pub use mlp::{Activation, Mlp, MlpConfig};

@@ -443,6 +443,50 @@ mod tests {
         assert_eq!(max, Some(1));
     }
 
+    /// Every trained weight and bias, bit for bit.
+    fn parameter_bits(mlp: &Mlp) -> Vec<u32> {
+        mlp.layers
+            .iter()
+            .flat_map(|l| l.weights.iter().chain(&l.bias))
+            .map(|w| w.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn batch_size_scales_the_per_example_step() {
+        // `sgd_step` applies each example's update at once with step
+        // `lr / |batch|`, so when B divides the dataset size, batch size B
+        // at rate η trains exactly like batch size 1 at rate η / B.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut ds = Dataset::new(6);
+        for _ in 0..96 {
+            let p = Pattern::random(&mut rng, 6);
+            let y = p.get(0) ^ (p.get(3) && p.get(5));
+            ds.push(p, y);
+        }
+        for activation in [Activation::Sigmoid, Activation::Relu, Activation::Sine] {
+            for batch_size in [2usize, 3, 4, 32] {
+                let batched = MlpConfig {
+                    hidden: vec![5, 3],
+                    activation,
+                    epochs: 6,
+                    batch_size,
+                    ..MlpConfig::default()
+                };
+                let single = MlpConfig {
+                    batch_size: 1,
+                    learning_rate: batched.learning_rate / batch_size as f32,
+                    ..batched.clone()
+                };
+                assert_eq!(
+                    parameter_bits(&Mlp::train(&ds, &batched)),
+                    parameter_bits(&Mlp::train(&ds, &single)),
+                    "{activation:?}, B = {batch_size}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn empty_dataset_is_harmless() {
         let ds = Dataset::new(3);

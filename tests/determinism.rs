@@ -74,3 +74,36 @@ fn scores_are_stable_across_runs() {
     assert_eq!(s1.and_gates, s2.and_gates);
     assert_eq!(s1.levels, s2.levels);
 }
+
+/// The four MLP teams' scores on one benchmark, bit for bit: a change to
+/// the numerics of `lsml-neural` (a neuron's summation order, the order of
+/// the SGD updates) moves at least one of them.
+#[test]
+fn mlp_team_scores_are_pinned() {
+    let bench = &suite()[41];
+    let data = bench.sample(&SampleConfig {
+        samples_per_split: 64,
+        seed: 1,
+    });
+    let problem = Problem::new(data.train.clone(), data.valid.clone(), 1);
+    let teams = all_teams();
+    let pins: [(usize, u64, usize, &str); 4] = [
+        (3, 0x3fe7_8000_0000_0000, 79, "ensemble[dt+dt+fringe-dt]"),
+        (4, 0x3fe1_0000_0000_0000, 105, "afn-sub(k=10,L2)"),
+        (5, 0x3fe7_0000_0000_0000, 7, "nn-4feature-search"),
+        (8, 0x3fe5_0000_0000_0000, 507, "rf17"),
+    ];
+    for (team, accuracy_bits, and_gates, method) in pins {
+        let circuit = teams[team - 1].learn(&problem);
+        let score = eval::evaluate(&circuit, &data);
+        assert_eq!(
+            (
+                score.test_accuracy.to_bits(),
+                score.and_gates,
+                circuit.method.as_str()
+            ),
+            (accuracy_bits, and_gates, method),
+            "team{team}"
+        );
+    }
+}
