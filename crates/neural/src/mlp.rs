@@ -1,4 +1,4 @@
-//! Dense MLPs trained with minibatch SGD.
+//! Dense MLPs trained with per-example SGD steps over minibatches.
 
 use lsml_pla::{Dataset, Pattern};
 use rand::rngs::StdRng;
@@ -56,7 +56,9 @@ pub struct MlpConfig {
     pub epochs: usize,
     /// SGD learning rate.
     pub learning_rate: f32,
-    /// Minibatch size.
+    /// Minibatch size. A batch's gradients are not averaged: each
+    /// example's is applied on its own, with step `learning_rate / |batch|`
+    /// (see [`Mlp::train`]).
     pub batch_size: usize,
     /// L2 weight decay.
     pub weight_decay: f32,
@@ -78,60 +80,270 @@ impl Default for MlpConfig {
     }
 }
 
-/// One dense layer: row-major weights `[out][in]` with a pruning mask.
+/// One dense layer, stored input-major: neuron `o`'s weight on input `i`
+/// lives at `weights[i * n_out + o]` ([`Dense::at`]), so one input's weights
+/// to every neuron form a contiguous row. The forward pass walks the inputs
+/// and adds each row to up to 32 neuron sums at once, held in SIMD
+/// registers ([`by_spans`]), while each neuron still adds its terms in
+/// ascending input order. The update walks the rows the same way. `mask`
+/// has the same layout.
+///
+/// A pruned (masked) weight is held at exactly `0.0`, so the sums read no
+/// mask; only the update reads it, to keep pruned weights at zero.
+///
+/// Terms that are exactly `±0.0` do not change a sum's bits: IEEE addition
+/// of `±0.0` leaves every value but `-0.0` unchanged, and these sums are
+/// never `-0.0` (each starts from a bias or `+0.0`; `x + y` is `-0.0` only
+/// when both are, and a bias moves by `b - y`, which is `-0.0` only when
+/// `b` is). So adding a pruned weight's `0.0 * x`, or skipping a clear
+/// input's `w * 0.0`, gives the bits of the sum over just the live terms,
+/// as long as every weight and activation is finite.
 #[derive(Clone, Debug)]
 pub(crate) struct Dense {
     pub(crate) n_in: usize,
     pub(crate) n_out: usize,
-    pub(crate) weights: Vec<f32>,
-    pub(crate) mask: Vec<bool>,
+    weights: Vec<f32>,
+    mask: Vec<bool>,
     pub(crate) bias: Vec<f32>,
 }
 
 impl Dense {
     fn new(n_in: usize, n_out: usize, gain: f32, rng: &mut StdRng) -> Self {
         let scale = gain * (2.0 / (n_in + n_out) as f32).sqrt();
-        Dense {
+        let mut layer = Dense {
             n_in,
             n_out,
-            weights: (0..n_in * n_out)
-                .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
-                .collect(),
+            weights: vec![0.0; n_in * n_out],
             mask: vec![true; n_in * n_out],
             bias: vec![0.0; n_out],
-        }
-    }
-
-    pub(crate) fn weight(&self, o: usize, i: usize) -> f32 {
-        if self.mask[o * self.n_in + i] {
-            self.weights[o * self.n_in + i]
-        } else {
-            0.0
-        }
-    }
-
-    fn forward(&self, input: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        for o in 0..self.n_out {
-            let mut acc = self.bias[o];
-            let row = &self.weights[o * self.n_in..(o + 1) * self.n_in];
-            let mrow = &self.mask[o * self.n_in..(o + 1) * self.n_in];
-            for i in 0..self.n_in {
-                if mrow[i] {
-                    acc += row[i] * input[i];
-                }
+        };
+        // Drawn neuron by neuron, so a seed gives the same net in any layout.
+        for o in 0..n_out {
+            for i in 0..n_in {
+                let k = layer.at(o, i);
+                layer.weights[k] = (rng.gen::<f32>() * 2.0 - 1.0) * scale;
             }
-            out.push(acc);
+        }
+        layer
+    }
+
+    /// Index of neuron `o`'s weight on input `i` in `weights` and `mask`.
+    #[inline]
+    fn at(&self, o: usize, i: usize) -> usize {
+        i * self.n_out + o
+    }
+
+    /// Neuron `o`'s weight on input `i` (`0.0` once pruned).
+    pub(crate) fn weight(&self, o: usize, i: usize) -> f32 {
+        self.weights[self.at(o, i)]
+    }
+
+    /// Input `i`'s weights to every neuron.
+    #[inline]
+    fn row(&self, i: usize) -> &[f32] {
+        &self.weights[i * self.n_out..(i + 1) * self.n_out]
+    }
+
+    /// Pre-activations for real-valued inputs.
+    fn forward(&self, input: &[f32], out: &mut [f32]) {
+        self.accumulate(input.iter().copied().enumerate(), out);
+    }
+
+    /// Pre-activations for 0/1 inputs given as packed words: the bias plus
+    /// the rows of the set bits, which is [`Dense::forward`] bit for bit (a
+    /// set input's `w * 1.0` is `w`; a clear one's `w * 0.0` is dropped).
+    pub(crate) fn forward_bits(&self, words: &[u64], out: &mut [f32]) {
+        self.accumulate(set_bits(words).map(|i| (i, 1.0)), out);
+    }
+
+    /// `out[o] = bias[o] + Σ w(o, i) * x` over the `(i, x)` of `terms`,
+    /// every neuron adding its terms in the order given.
+    fn accumulate<T>(&self, terms: T, out: &mut [f32])
+    where
+        T: Iterator<Item = (usize, f32)> + Clone,
+    {
+        out.copy_from_slice(&self.bias);
+        by_spans(
+            self.n_out,
+            &mut Sum {
+                layer: self,
+                terms,
+                out,
+            },
+        );
+    }
+
+    /// The gradient with respect to the layer's inputs: `delta` (the
+    /// gradient at the pre-activations) summed back through each input's
+    /// weights, in neuron order.
+    fn backward(&self, delta: &[f32], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend((0..self.n_in).map(|i| {
+            self.row(i)
+                .iter()
+                .zip(delta)
+                .fold(0.0, |acc, (&w, &d)| acc + d * w)
+        }));
+    }
+
+    /// One example's SGD update from the layer's inputs, in order, and the
+    /// gradient at its pre-activations. A pruned weight's gradient is its
+    /// decay term alone, which holds it at `0.0`.
+    fn update<X>(&mut self, inputs: X, delta: &[f32], lr: f32, decay: f32)
+    where
+        X: Iterator<Item = f32> + Clone,
+    {
+        let n = self.n_out;
+        let mut step = Step {
+            weights: &mut self.weights,
+            mask: &self.mask,
+            n,
+            inputs,
+            delta,
+            lr,
+            decay,
+        };
+        by_spans(n, &mut step);
+        for (b, &d) in self.bias.iter_mut().zip(delta) {
+            *b -= lr * d;
         }
     }
 
-    /// Live (unmasked) fanin of neuron `o`.
-    pub(crate) fn fanin(&self, o: usize) -> usize {
-        self.mask[o * self.n_in..(o + 1) * self.n_in]
-            .iter()
-            .filter(|&&m| m)
-            .count()
+    /// Neuron `o`'s live (unmasked) inputs, ascending.
+    pub(crate) fn live(&self, o: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n_in).filter(move |&i| self.mask[self.at(o, i)])
     }
+
+    /// Masks neuron `o`'s weight on input `i` and zeroes it.
+    pub(crate) fn prune(&mut self, o: usize, i: usize) {
+        let k = self.at(o, i);
+        self.mask[k] = false;
+        self.weights[k] = 0.0;
+    }
+}
+
+/// A walk over a layer's inputs that computes neurons `first..first + B *
+/// L`, held in registers for the whole walk as `B` blocks of `L` lanes.
+trait Span {
+    fn run<const B: usize, const L: usize>(&mut self, first: usize);
+}
+
+/// Runs `pass` over neurons `0..n`, widest spans first: four blocks of
+/// eight neurons while they last (eight `f32` fill a 256-bit register),
+/// then three, two or one block, then at most one span each of 4, 2 and 1
+/// neurons. A layer of up to 32 neurons walks its inputs once.
+fn by_spans(n: usize, pass: &mut impl Span) {
+    fn run<const B: usize, const L: usize>(pass: &mut impl Span, first: usize) -> usize {
+        pass.run::<B, L>(first);
+        B * L
+    }
+    let mut first = 0;
+    while first < n {
+        first += match n - first {
+            32.. => run::<4, 8>(pass, first),
+            24.. => run::<3, 8>(pass, first),
+            16.. => run::<2, 8>(pass, first),
+            8.. => run::<1, 8>(pass, first),
+            4.. => run::<1, 4>(pass, first),
+            2.. => run::<1, 2>(pass, first),
+            _ => run::<1, 1>(pass, first),
+        };
+    }
+}
+
+/// `B` blocks of `L` values, from `first` on.
+fn blocks<T, const B: usize, const L: usize>(values: &[T], first: usize) -> &[[T; L]; B] {
+    let (blocks, _) = values[first..first + B * L].as_chunks::<L>();
+    blocks.try_into().expect("B blocks")
+}
+
+/// [`blocks`], mutable.
+fn blocks_mut<T, const B: usize, const L: usize>(
+    values: &mut [T],
+    first: usize,
+) -> &mut [[T; L]; B] {
+    let (blocks, _) = values[first..first + B * L].as_chunks_mut::<L>();
+    blocks.try_into().expect("B blocks")
+}
+
+/// [`Dense::accumulate`]'s walk: each term's row added to the sums.
+struct Sum<'a, T> {
+    layer: &'a Dense,
+    terms: T,
+    out: &'a mut [f32],
+}
+
+impl<T: Iterator<Item = (usize, f32)> + Clone> Span for Sum<'_, T> {
+    #[inline(always)]
+    fn run<const B: usize, const L: usize>(&mut self, first: usize) {
+        let out = blocks_mut::<_, B, L>(self.out, first);
+        let mut acc = *out;
+        for (i, x) in self.terms.clone() {
+            let row = blocks::<_, B, L>(self.layer.row(i), first);
+            for k in 0..B {
+                let sum = acc[k];
+                acc[k] = std::array::from_fn(|j| sum[j] + row[k][j] * x);
+            }
+        }
+        *out = acc;
+    }
+}
+
+/// [`Dense::update`]'s walk: each input's row of weights stepped.
+struct Step<'a, X> {
+    weights: &'a mut [f32],
+    mask: &'a [bool],
+    n: usize,
+    inputs: X,
+    delta: &'a [f32],
+    lr: f32,
+    decay: f32,
+}
+
+impl<X: Iterator<Item = f32> + Clone> Span for Step<'_, X> {
+    #[inline(always)]
+    fn run<const B: usize, const L: usize>(&mut self, first: usize) {
+        let (lr, decay) = (self.lr, self.decay);
+        // A copy in registers: the weight stores could alias the slice.
+        let delta = *blocks::<_, B, L>(self.delta, first);
+        let n = self.n;
+        for (i, x) in self.inputs.clone().enumerate() {
+            let w = blocks_mut::<_, B, L>(self.weights, i * n + first);
+            let live = blocks::<_, B, L>(self.mask, i * n + first);
+            for k in 0..B {
+                let old = w[k];
+                w[k] = std::array::from_fn(|j| {
+                    let g = if live[k][j] { delta[k][j] * x } else { 0.0 };
+                    old[j] - lr * (g + decay * old[j])
+                });
+            }
+        }
+    }
+}
+
+/// The indices of the set bits of packed words, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + Clone + '_ {
+    words.iter().enumerate().flat_map(|(k, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                k * 64 + bit
+            })
+        })
+    })
+}
+
+/// Per-example buffers, allocated once per [`Mlp::fit`] call.
+struct Scratch {
+    /// Every layer's pre-activations and activations.
+    pre: Vec<Vec<f32>>,
+    act: Vec<Vec<f32>>,
+    /// The loss gradient at the current layer's pre-activations, and at
+    /// the layer below's.
+    delta: Vec<f32>,
+    below: Vec<f32>,
 }
 
 /// A feed-forward binary classifier.
@@ -146,6 +358,14 @@ pub struct Mlp {
 
 impl Mlp {
     /// Trains a fresh network on the dataset.
+    ///
+    /// Each epoch shuffles the examples and walks them in minibatches of
+    /// `batch_size`. Every example's gradient is applied as soon as it is
+    /// computed, with step `learning_rate / |batch|`; the batch's
+    /// gradients are *not* averaged into one update, so a later example
+    /// sees the weights an earlier one moved. When the batch size B
+    /// divides the dataset size, training is therefore bit-identical to
+    /// batch size 1 at rate `learning_rate / B`.
     pub fn train(ds: &Dataset, cfg: &MlpConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut dims = vec![ds.num_inputs()];
@@ -177,108 +397,89 @@ impl Mlp {
     }
 
     /// Continues training an existing network (used after pruning).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset's input count differs from the network's.
     pub fn retrain(&mut self, ds: &Dataset, cfg: &MlpConfig) {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xdead_beef);
         self.fit(ds, cfg, &mut rng);
     }
 
     fn fit(&mut self, ds: &Dataset, cfg: &MlpConfig, rng: &mut StdRng) {
+        assert_eq!(ds.num_inputs(), self.num_inputs, "pattern arity mismatch");
         if ds.is_empty() {
             return;
         }
-        let inputs: Vec<Vec<f32>> = ds
-            .patterns()
-            .iter()
-            .map(|p| p.iter().map(|b| if b { 1.0 } else { 0.0 }).collect())
-            .collect();
-        let targets: Vec<f32> = ds
-            .outputs()
-            .iter()
-            .map(|&o| if o { 1.0 } else { 0.0 })
-            .collect();
+        let widths = || self.layers.iter().map(|l| vec![0.0; l.n_out]);
+        let mut scratch = Scratch {
+            pre: widths().collect(),
+            act: widths().collect(),
+            delta: Vec::new(),
+            below: Vec::new(),
+        };
         let mut order: Vec<usize> = (0..ds.len()).collect();
 
         for _ in 0..cfg.epochs {
             order.shuffle(rng);
             for batch in order.chunks(cfg.batch_size.max(1)) {
-                self.sgd_step(batch, &inputs, &targets, cfg);
+                self.sgd_step(batch, ds, cfg, &mut scratch);
             }
         }
     }
 
-    /// One SGD step over a minibatch (gradients averaged over the batch).
-    fn sgd_step(&mut self, batch: &[usize], inputs: &[Vec<f32>], targets: &[f32], cfg: &MlpConfig) {
+    /// One SGD step over a minibatch: each example's update is applied at
+    /// once, with step `learning_rate / |batch|` (see [`Mlp::train`]).
+    fn sgd_step(&mut self, batch: &[usize], ds: &Dataset, cfg: &MlpConfig, s: &mut Scratch) {
         let lr = cfg.learning_rate / batch.len() as f32;
+        let last = self.layers.len() - 1;
         for &idx in batch {
+            let pattern = ds.pattern(idx);
             // Forward pass keeping pre-activations and activations.
-            let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len() + 1);
-            let mut pres: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
-            acts.push(inputs[idx].clone());
-            for (l, layer) in self.layers.iter().enumerate() {
-                let mut pre = Vec::new();
-                layer.forward(&acts[l], &mut pre);
-                let is_output = l + 1 == self.layers.len();
-                let act: Vec<f32> = pre
-                    .iter()
-                    .map(|&x| {
-                        if is_output {
-                            Activation::Sigmoid.apply(x)
-                        } else {
-                            self.activation.apply(x)
-                        }
-                    })
-                    .collect();
-                pres.push(pre);
-                acts.push(act);
-            }
-            // Backward pass: logistic loss gives (p - y) at the output.
-            let mut delta = vec![acts.last().expect("output")[0] - targets[idx]];
-            for l in (0..self.layers.len()).rev() {
-                let is_output = l + 1 == self.layers.len();
-                let act_fn = if is_output {
-                    Activation::Sigmoid
+            for l in 0..=last {
+                if l == 0 {
+                    self.layers[0].forward_bits(pattern.words(), &mut s.pre[0]);
                 } else {
-                    self.activation
-                };
-                // delta currently holds dL/d(activation); fold in activation
-                // derivative except at the sigmoid output where (p - y)
-                // already includes it.
-                let local: Vec<f32> = if is_output {
-                    delta.clone()
-                } else {
-                    delta
-                        .iter()
-                        .enumerate()
-                        .map(|(o, &d)| d * act_fn.derivative(pres[l][o], acts[l + 1][o]))
-                        .collect()
-                };
-                // Gradient wrt previous activations (before updating weights).
-                let layer = &self.layers[l];
-                let mut prev_delta = vec![0.0f32; layer.n_in];
-                for (o, &lo) in local.iter().enumerate().take(layer.n_out) {
-                    let row = o * layer.n_in;
-                    for (i, pd) in prev_delta.iter_mut().enumerate() {
-                        if layer.mask[row + i] {
-                            *pd += lo * layer.weights[row + i];
-                        }
-                    }
+                    self.layers[l].forward(&s.act[l - 1], &mut s.pre[l]);
                 }
-                // Weight update.
+                let f = self.activation_of(l);
+                for (y, &x) in s.act[l].iter_mut().zip(&s.pre[l]) {
+                    *y = f.apply(x);
+                }
+            }
+            // Backward pass: logistic loss gives (p - y) at the output's
+            // pre-activation. Each layer passes its gradient down (through
+            // the weights before its update) and then updates; the first
+            // layer's input gradient is never needed.
+            let target = if ds.output(idx) { 1.0 } else { 0.0 };
+            s.delta.clear();
+            s.delta.push(s.act[last][0] - target);
+            for l in (1..=last).rev() {
                 let layer = &mut self.layers[l];
-                for (o, &lo) in local.iter().enumerate().take(layer.n_out) {
-                    let row = o * layer.n_in;
-                    for (i, &act) in acts[l].iter().enumerate().take(layer.n_in) {
-                        let w = row + i;
-                        if layer.mask[w] {
-                            let grad = lo * act + cfg.weight_decay * layer.weights[w];
-                            layer.weights[w] -= lr * grad;
-                        }
-                    }
-                    layer.bias[o] -= lr * lo;
+                layer.backward(&s.delta, &mut s.below);
+                for ((d, &x), &y) in s.below.iter_mut().zip(&s.pre[l - 1]).zip(&s.act[l - 1]) {
+                    *d *= self.activation.derivative(x, y);
                 }
-                delta = prev_delta;
+                let input = s.act[l - 1].iter().copied();
+                layer.update(input, &s.delta, lr, cfg.weight_decay);
+                std::mem::swap(&mut s.delta, &mut s.below);
             }
+            let input = (0..self.num_inputs).map(|i| if pattern.get(i) { 1.0 } else { 0.0 });
+            self.layers[0].update(input, &s.delta, lr, cfg.weight_decay);
         }
+    }
+
+    /// Layer `l`'s activation: the hidden one, or the output's sigmoid.
+    pub(crate) fn activation_of(&self, l: usize) -> Activation {
+        if l + 1 == self.layers.len() {
+            Activation::Sigmoid
+        } else {
+            self.activation
+        }
+    }
+
+    pub(crate) fn check_arity(&self, p: &Pattern) {
+        assert_eq!(p.len(), self.num_inputs, "pattern arity mismatch");
     }
 
     /// Number of primary inputs.
@@ -292,27 +493,37 @@ impl Mlp {
     }
 
     /// The probability of class 1 for one pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern's length differs from [`Mlp::num_inputs`].
     pub fn predict_proba(&self, p: &Pattern) -> f32 {
-        let mut values: Vec<f32> = p.iter().map(|b| if b { 1.0 } else { 0.0 }).collect();
-        let mut next = Vec::new();
+        self.check_arity(p);
+        // Two buffers as wide as the widest layer, one allocation per call.
+        let width = self.layers.iter().map(|l| l.n_out).max().unwrap_or(0);
+        let mut buf = vec![0.0; 2 * width];
+        let (mut values, mut next) = buf.split_at_mut(width);
         for (l, layer) in self.layers.iter().enumerate() {
-            layer.forward(&values, &mut next);
-            let is_output = l + 1 == self.layers.len();
-            values = next
-                .iter()
-                .map(|&x| {
-                    if is_output {
-                        Activation::Sigmoid.apply(x)
-                    } else {
-                        self.activation.apply(x)
-                    }
-                })
-                .collect();
+            let out = &mut next[..layer.n_out];
+            if l == 0 {
+                layer.forward_bits(p.words(), out);
+            } else {
+                layer.forward(&values[..layer.n_in], out);
+            }
+            let f = self.activation_of(l);
+            for x in out {
+                *x = f.apply(*x);
+            }
+            std::mem::swap(&mut values, &mut next);
         }
         values[0]
     }
 
     /// Hard classification at threshold 0.5.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern's length differs from [`Mlp::num_inputs`].
     pub fn predict(&self, p: &Pattern) -> bool {
         self.predict_proba(p) > 0.5
     }
@@ -327,11 +538,7 @@ impl Mlp {
     pub fn input_importance(&self) -> Vec<f64> {
         let first = &self.layers[0];
         (0..first.n_in)
-            .map(|i| {
-                (0..first.n_out)
-                    .map(|o| f64::from(first.weight(o, i).abs()))
-                    .sum()
-            })
+            .map(|i| first.row(i).iter().map(|w| f64::from(w.abs())).sum())
             .collect()
     }
 
@@ -339,7 +546,7 @@ impl Mlp {
     pub fn max_fanin(&self) -> usize {
         self.layers
             .iter()
-            .flat_map(|l| (0..l.n_out).map(|o| l.fanin(o)))
+            .flat_map(|l| (0..l.n_out).map(|o| l.live(o).count()))
             .max()
             .unwrap_or(0)
     }
@@ -467,7 +674,7 @@ mod tests {
         for activation in [Activation::Sigmoid, Activation::Relu, Activation::Sine] {
             for batch_size in [2usize, 3, 4, 32] {
                 let batched = MlpConfig {
-                    hidden: vec![5, 3],
+                    hidden: vec![20, 9],
                     activation,
                     epochs: 6,
                     batch_size,
@@ -485,6 +692,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A small net over two inputs.
+    fn two_input_net() -> Mlp {
+        let cfg = MlpConfig {
+            hidden: vec![3],
+            epochs: 5,
+            ..MlpConfig::default()
+        };
+        Mlp::train(&full_dataset(|m| m == 0b11, 2), &cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern arity mismatch")]
+    fn predict_rejects_a_wider_pattern() {
+        let _ = two_input_net().predict_proba(&Pattern::from_index(0b111, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern arity mismatch")]
+    fn predict_rejects_a_narrower_pattern() {
+        let _ = two_input_net().predict(&Pattern::from_index(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern arity mismatch")]
+    fn retrain_rejects_a_wider_dataset() {
+        let mut mlp = two_input_net();
+        mlp.retrain(&full_dataset(|m| m == 0b111, 3), &MlpConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern arity mismatch")]
+    fn retrain_rejects_a_narrower_dataset() {
+        let mut mlp = two_input_net();
+        mlp.retrain(&full_dataset(|m| m == 1, 1), &MlpConfig::default());
     }
 
     #[test]

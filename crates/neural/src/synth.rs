@@ -2,7 +2,7 @@
 
 use lsml_aig::circuits::truth_table_cone;
 use lsml_aig::{Aig, Lit};
-use lsml_pla::{Dataset, TruthTable};
+use lsml_pla::{Dataset, Pattern, TruthTable};
 
 use crate::mlp::{Activation, Mlp, MlpConfig};
 
@@ -17,25 +17,22 @@ pub fn prune_to_fanin(mlp: &mut Mlp, ds: &Dataset, cfg: &MlpConfig, max_fanin: u
         rounds += 1;
         for layer in mlp.layers.iter_mut() {
             for o in 0..layer.n_out {
-                let live: Vec<usize> = (0..layer.n_in)
-                    .filter(|&i| layer.mask[o * layer.n_in + i])
-                    .collect();
+                let mut live: Vec<usize> = layer.live(o).collect();
                 if live.len() <= max_fanin {
                     continue;
                 }
                 // Drop the weakest 30% of live connections (at least one,
                 // never below the budget in a single over-shoot).
-                let mut by_mag: Vec<usize> = live.clone();
-                by_mag.sort_by(|&a, &b| {
-                    layer.weights[o * layer.n_in + a]
-                        .abs()
-                        .partial_cmp(&layer.weights[o * layer.n_in + b].abs())
-                        .expect("finite weights")
-                });
                 let drop = ((live.len() as f64 * 0.3).ceil() as usize)
                     .clamp(1, live.len() - max_fanin.min(live.len()));
-                for &i in by_mag.iter().take(drop) {
-                    layer.mask[o * layer.n_in + i] = false;
+                let magnitude = |i: usize| layer.weight(o, i).abs();
+                live.sort_by(|&a, &b| {
+                    magnitude(a)
+                        .partial_cmp(&magnitude(b))
+                        .expect("finite weights")
+                });
+                for &i in &live[..drop] {
+                    layer.prune(o, i);
                 }
             }
         }
@@ -63,17 +60,10 @@ impl Mlp {
         let mut aig = Aig::new(self.num_inputs());
         let mut lits: Vec<Lit> = aig.inputs();
         for (l, layer) in self.layers.iter().enumerate() {
-            let is_output = l + 1 == self.layers.len();
-            let act = if is_output {
-                Activation::Sigmoid
-            } else {
-                self.activation
-            };
+            let act = self.activation_of(l);
             let mut next = Vec::with_capacity(layer.n_out);
             for o in 0..layer.n_out {
-                let live: Vec<usize> = (0..layer.n_in)
-                    .filter(|&i| layer.mask[o * layer.n_in + i])
-                    .collect();
+                let live: Vec<usize> = layer.live(o).collect();
                 assert!(
                     live.len() <= max_enum_fanin,
                     "neuron fanin {} exceeds enumeration budget {max_enum_fanin}; prune first",
@@ -83,7 +73,7 @@ impl Mlp {
                     let mut acc = layer.bias[o];
                     for (b, &i) in live.iter().enumerate() {
                         if (m >> b) & 1 == 1 {
-                            acc += layer.weights[o * layer.n_in + i];
+                            acc += layer.weight(o, i);
                         }
                     }
                     quantize(act, acc)
@@ -99,30 +89,22 @@ impl Mlp {
     }
 
     /// The quantized-network prediction (what [`Mlp::to_aig_quantized`]
-    /// computes), evaluated in software.
-    pub fn predict_quantized(&self, p: &lsml_pla::Pattern) -> bool {
-        let mut values: Vec<bool> = p.iter().collect();
+    /// computes), evaluated in software: every layer sees the previous
+    /// layer's rounded bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern's length differs from [`Mlp::num_inputs`].
+    pub fn predict_quantized(&self, p: &Pattern) -> bool {
+        self.check_arity(p);
+        let mut bits = p.clone();
         for (l, layer) in self.layers.iter().enumerate() {
-            let is_output = l + 1 == self.layers.len();
-            let act = if is_output {
-                Activation::Sigmoid
-            } else {
-                self.activation
-            };
-            values = (0..layer.n_out)
-                .map(|o| {
-                    let mut acc = layer.bias[o];
-                    let row = o * layer.n_in;
-                    for (i, &v) in values.iter().enumerate().take(layer.n_in) {
-                        if layer.mask[row + i] && v {
-                            acc += layer.weights[row + i];
-                        }
-                    }
-                    quantize(act, acc)
-                })
-                .collect();
+            let mut pre = vec![0.0; layer.n_out];
+            layer.forward_bits(bits.words(), &mut pre);
+            let act = self.activation_of(l);
+            bits = pre.iter().map(|&x| quantize(act, x)).collect();
         }
-        values[0]
+        bits.get(0)
     }
 
     /// Exhaustively enumerates the exact floating-point network into a truth
@@ -134,7 +116,7 @@ impl Mlp {
         }
         let n = self.num_inputs();
         Some(TruthTable::from_fn(n, |m| {
-            self.predict(&lsml_pla::Pattern::from_index(u64::from(m), n))
+            self.predict(&Pattern::from_index(u64::from(m), n))
         }))
     }
 }
@@ -152,7 +134,6 @@ fn quantize(act: Activation, pre: f32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsml_pla::Pattern;
 
     fn full_dataset(f: impl Fn(u64) -> bool, nv: usize) -> Dataset {
         let mut ds = Dataset::new(nv);
@@ -233,6 +214,31 @@ mod tests {
             let p = Pattern::from_index(u64::from(m), 4);
             assert_eq!(table.get(m), mlp.predict(&p));
         }
+    }
+
+    /// A pruned net over two inputs.
+    fn two_input_net() -> Mlp {
+        let ds = full_dataset(|m| m == 0b11, 2);
+        let cfg = MlpConfig {
+            hidden: vec![3],
+            epochs: 5,
+            ..MlpConfig::default()
+        };
+        let mut mlp = Mlp::train(&ds, &cfg);
+        prune_to_fanin(&mut mlp, &ds, &cfg, 2);
+        mlp
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern arity mismatch")]
+    fn quantized_predict_rejects_a_wider_pattern() {
+        let _ = two_input_net().predict_quantized(&Pattern::from_index(0b111, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern arity mismatch")]
+    fn quantized_predict_rejects_a_narrower_pattern() {
+        let _ = two_input_net().predict_quantized(&Pattern::from_index(1, 1));
     }
 
     #[test]
