@@ -290,6 +290,15 @@ mod tests {
     }
 
     #[test]
+    fn encoded_bytes_are_pinned() {
+        // Snapshots written by earlier builds must keep loading, so the
+        // on-disk bytes never change without a VERSION bump.
+        let bytes = sample().encode();
+        assert_eq!(bytes.len(), 136);
+        assert_eq!(lsml_aig::fxhash::fnv1a(&bytes), 0xe1d9_7704_8bea_1e8c);
+    }
+
+    #[test]
     fn encode_decode_round_trip() {
         let s = sample();
         let bytes = s.encode();

@@ -132,6 +132,15 @@ mod tests {
     }
 
     #[test]
+    fn encoded_bytes_are_pinned() {
+        // Checkpoints written by earlier builds must keep resuming, so the
+        // on-disk bytes never change without a VERSION bump.
+        let bytes = sample().encode();
+        assert_eq!(bytes.len(), 281);
+        assert_eq!(lsml_aig::fxhash::fnv1a(&bytes), 0xbb7b_1e29_9861_14c7);
+    }
+
+    #[test]
     fn encode_decode_round_trip() {
         let cp = sample();
         assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
