@@ -7,7 +7,8 @@
 //! the serial path by construction — work is partitioned into fixed chunks
 //! whose results merge by a deterministic, schedule-independent rule — so
 //! parallelism is a pure throughput knob, never a semantics knob. This
-//! module decides *whether* a pass may fan out at all.
+//! module decides how wide a pass fans out: over the pool's workers, or
+//! inline when the pool has one (`LSML_NUM_THREADS=1`).
 //!
 //! # Runtime environment knobs
 //!
@@ -17,7 +18,6 @@
 //! | Knob | Default | Effect |
 //! |------|---------|--------|
 //! | `LSML_NUM_THREADS` | `available_parallelism()` | Worker count of the process-wide pool (vendored `rayon`). `1` disables the pool: every operation runs strictly inline on the caller. |
-//! | `LSML_PAR_PASSES` | `1` (enabled) | Escape hatch for in-pass parallelism. `0`/`false`/`off` forces cut enumeration, sweep and the NPN lane walk to run serially even when the pool has workers. Output is bit-identical either way. |
 //! | `LSML_FORCE_SCALAR` | unset | Forces the scalar fallback kernels in `lsml-pla` (`kernels` module), bypassing the SIMD dispatch. |
 //! | `LSML_CHECK` | unset | `1` enables the expensive debug verifiers in release builds: AIG invariant sweeps between pipeline passes (`crate::opt`) and CSR audits after cut enumeration (`crate::cut`). |
 //! | `LSML_COMPILE_CACHE_BYTES` | 256 MiB | Byte budget of the process-wide sharded compile cache (`lsml-core`, `compile` module), read once by [`crate::lru::env_budget`]: a positive byte count, whitespace trimmed; `0` or an unparsable value falls back to the default. |
@@ -30,7 +30,7 @@
 //! | `LSML_SERVE_MAX_FRAME` | 16 MiB | Maximum accepted frame payload, clamped to `[64 B, 1 GiB]`; larger declared frames are answered `Malformed` and the connection closed. |
 //! | `LSML_SERVE_SNAPSHOT` | unset | Path of the crash-safe cache snapshot (checksummed, temp + fsync + atomic rename). Set: warm-start on boot, snapshot on graceful shutdown. A torn or corrupt file cold-starts. |
 //! | `LSML_SERVE_DRAIN_MS` | `5000` | Graceful-shutdown drain watchdog: after this long, in-flight requests are cancelled via their deadline tokens so drain always terminates. |
-//! | `LSML_FAULT_SEED` | unset/`0` | Arms the deterministic fault-injection plan (`lsml-serve`, `fault` module): seeded worker panics, stalls and snapshot corruption for the robustness harness, plus the `lsml-suite` per-circuit panic/stall/kill points. `0` or unset disables. |
+//! | `LSML_FAULT_SEED` | unset/`0` | Arms the deterministic fault-injection plan (`lsml-durable`, `fault` module): seeded worker panics, stalls and snapshot corruption for the robustness harness, plus the `lsml-suite` per-circuit panic/stall/kill points. `0` or unset disables. |
 //! | `LSML_SUITE_UNITS` | `20` | Generated units per circuit family in an `lsml-suite` streaming sweep. |
 //! | `LSML_SUITE_SEED` | `1` | Sweep seed every per-unit seed derives from (counter-derived, so the checkpoint cursor alone is a complete resume point). |
 //! | `LSML_SUITE_DEADLINE_MS` | `5000` | Per-circuit deadline; a unit that outlives it is cancelled via its token and classified `TimedOut` (never memoized). |
@@ -45,24 +45,6 @@
 //! Modules reading a knob link back here; this table is the single place
 //! where defaults are documented.
 
-use loom::sync::OnceLock;
-
-/// Whether in-pass parallel fan-out is allowed (`LSML_PAR_PASSES`, latched
-/// at first call; see the [module docs](self) for the full knob table).
-///
-/// `false` means every pass runs its serial path. `true` means passes *may*
-/// fan out — they still run inline when the pool has a single worker.
-pub fn par_passes_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("LSML_PAR_PASSES") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off")
-        }
-        Err(_) => true,
-    })
-}
-
 #[cfg(test)]
 thread_local! {
     /// Test-only override of [`effective_workers`] (`0` = no override).
@@ -76,8 +58,7 @@ thread_local! {
         const { std::cell::Cell::new(0) };
 }
 
-/// Number of workers a pass may fan out over: `1` when
-/// [`par_passes_enabled`] is off, otherwise the pool width
+/// Number of workers a pass may fan out over: the pool width
 /// (`LSML_NUM_THREADS`; starts the pool on first call).
 pub fn effective_workers() -> usize {
     #[cfg(test)]
@@ -86,9 +67,6 @@ pub fn effective_workers() -> usize {
         if forced != 0 {
             return forced;
         }
-    }
-    if !par_passes_enabled() {
-        return 1;
     }
     rayon::current_num_threads().max(1)
 }

@@ -18,9 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use lsml_durable::fault::FaultPlan;
 use lsml_pla::{Dataset, Pattern};
 use lsml_serve::client::{Client, ClientError};
-use lsml_serve::fault::FaultPlan;
 use lsml_serve::protocol::Status;
 use lsml_serve::server::{Server, ServerConfig};
 

@@ -13,7 +13,7 @@
 //! Set `LSML_FAULT_SEED` to pick the fault schedule (the CI leg does);
 //! unset, a fixed seed keeps the fault phases armed.
 
-use lsml_serve::fault::FaultPlan;
+use lsml_durable::fault::FaultPlan;
 use lsml_suite::engine::{run, RunOutcome, SuiteConfig};
 use lsml_suite::SuiteStats;
 use std::fs;

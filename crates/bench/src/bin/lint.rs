@@ -180,10 +180,10 @@ fn audit_facade(label: &str, contents: &str) -> Vec<String> {
 
 /// Whether rule 2 applies to this path: under `vendor/rayon/src` (minus
 /// the facade module itself), one of the facade-routed cache / NPN
-/// modules whose locks and atomics the loom models check, or the serve
-/// daemon sources. `crates/serve/src/signal.rs` is carved out: a signal
-/// handler needs a genuinely async-signal-safe std atomic, and the shadow
-/// scheduler must never be entered from a signal context.
+/// modules whose locks and atomics the loom models check, or the serve,
+/// suite and durable sources. `crates/serve/src/signal.rs` is carved out:
+/// a signal handler needs a genuinely async-signal-safe std atomic, and
+/// the shadow scheduler must never be entered from a signal context.
 fn facade_rule_applies(rel: &Path) -> bool {
     let s = rel.to_string_lossy().replace('\\', "/");
     if s.contains("vendor/rayon/src/") {
@@ -192,10 +192,10 @@ fn facade_rule_applies(rel: &Path) -> bool {
     if s.contains("crates/serve/src/") {
         return !s.ends_with("/signal.rs");
     }
-    // The sweep engine rides the serve crate's fault/checkpoint machinery
-    // and the cancel tokens; any concurrency it grows must stay
-    // loom-checkable from day one.
-    if s.contains("crates/suite/src/") {
+    // The sweep engine runs on cancel tokens, and the durability crate it
+    // shares with the daemon holds the fault plan and the atomic write;
+    // any concurrency either grows must stay loom-checkable from day one.
+    if s.contains("crates/suite/src/") || s.contains("crates/durable/src/") {
         return true;
     }
     s.ends_with("crates/core/src/compile.rs")
@@ -381,6 +381,7 @@ mod tests {
         assert!(facade_rule_applies(Path::new(
             "crates/suite/src/checkpoint.rs"
         )));
+        assert!(facade_rule_applies(Path::new("crates/durable/src/lib.rs")));
         assert!(!facade_rule_applies(Path::new(
             "crates/suite/tests/sweep_resume.rs"
         )));

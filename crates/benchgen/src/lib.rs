@@ -7,8 +7,8 @@
 //! from MNIST and CIFAR-10 (Table II group comparisons). Each benchmark
 //! ships as three disjoint 6400-minterm sets: training, validation, test.
 //!
-//! Two substitutions (documented in DESIGN.md) stand in for artifacts we do
-//! not have:
+//! Two substitutions (detailed in the [`cones`] and [`mlgen`] module docs)
+//! stand in for artifacts we do not have:
 //!
 //! * the PicoJava/MCNC cones are replaced by seeded pseudo-random AIG cones
 //!   rejection-sampled for a roughly balanced onset/offset — matching how

@@ -228,6 +228,28 @@ pub struct CompileCacheEntry {
     pub approximated: bool,
 }
 
+// `Aig` has no PartialEq/Debug of its own; entries compare graphs by
+// structural fingerprint, which is exactly the identity the cache keys on.
+impl PartialEq for CompileCacheEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph_fingerprint == other.graph_fingerprint
+            && self.budget_fingerprint == other.budget_fingerprint
+            && self.approximated == other.approximated
+            && self.aig.structural_fingerprint() == other.aig.structural_fingerprint()
+    }
+}
+
+impl std::fmt::Debug for CompileCacheEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompileCacheEntry")
+            .field("graph_fingerprint", &self.graph_fingerprint)
+            .field("budget_fingerprint", &self.budget_fingerprint)
+            .field("ands", &self.aig.num_ands())
+            .field("approximated", &self.approximated)
+            .finish()
+    }
+}
+
 /// Every resident compile-cache entry, sorted by key (so identical cache
 /// contents export identical snapshots). `lsml-serve` serializes this on
 /// shutdown; pair with [`compile_cache_import`]. Holds one shard lock at a

@@ -3,8 +3,7 @@
 //! Each team is a [`Learner`](crate::Learner) faithful to the description in
 //! the paper, built from the workspace substrates. Where a team relied on an
 //! external tool (WEKA, scikit-learn, XGBoost, ABC) the equivalent substrate
-//! crate stands in; deviations are noted in each team's module docs and in
-//! DESIGN.md.
+//! crate stands in; deviations are noted in each team's module docs.
 //!
 //! Computation budgets (epochs, generations, ensemble sizes) default to
 //! values that keep a full 100-benchmark contest run tractable on a laptop;

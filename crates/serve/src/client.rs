@@ -8,10 +8,11 @@
 
 use crate::protocol::{
     encode_datasets, encode_request, parse_response, read_frame, write_frame, FrameError, Op,
-    Status, Wire, DEFAULT_MAX_FRAME,
+    Status, DEFAULT_MAX_FRAME,
 };
 use lsml_aig::aiger::{read_aig, write_aig};
 use lsml_aig::Aig;
+use lsml_durable::wire::Wire;
 use lsml_pla::Dataset;
 use std::io::{self};
 use std::net::{TcpStream, ToSocketAddrs};

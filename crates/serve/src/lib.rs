@@ -14,11 +14,11 @@
 //! * [`server`] — the daemon: deadline cancellation at pass boundaries
 //!   (partial-best-so-far for timed-out `SelectBest`), panic isolation at
 //!   the request boundary, graceful drain on SIGTERM.
-//! * [`snapshot`] — crash-safe cache persistence (temp + fsync + atomic
-//!   rename, checksummed); torn or bit-flipped snapshots cold-start, never
-//!   crash.
-//! * [`fault`] — the deterministic fault-injection harness
-//!   (`LSML_FAULT_SEED`) that CI runs the daemon under.
+//! * [`snapshot`] — the cache snapshot codec; `lsml-durable` seals it and
+//!   writes it crash-safely (temp + fsync + atomic rename, checksummed), so
+//!   torn or bit-flipped snapshots cold-start, never crash.
+//! * [`fault`] — applies the deterministic `LSML_FAULT_SEED` plan
+//!   ([`lsml_durable::fault::FaultPlan`]) that CI runs the daemon under.
 //! * [`client`] — a blocking client for tests and the bench load generator.
 //!
 //! Environment knobs (`LSML_SERVE_*`, `LSML_FAULT_SEED`) are documented in
@@ -59,5 +59,4 @@ pub mod signal;
 pub mod snapshot;
 
 pub use client::Client;
-pub use fault::FaultPlan;
 pub use server::{Server, ServerConfig};

@@ -30,7 +30,7 @@
 //! (enforced by the source lint), so the daemon builds — and its queue
 //! model-checks — under `--cfg lsml_loom`.
 
-use crate::fault::{FaultAction, FaultInjector, FaultPlan};
+use crate::fault::{FaultAction, FaultInjector};
 use crate::protocol::{
     self, encode_response, parse_request, read_frame, write_frame, FrameError, Op, RequestHeader,
     Status, DEFAULT_MAX_FRAME,
@@ -44,6 +44,9 @@ use lsml_aig::cancel::CancelToken;
 use lsml_core::compile::{CompileBatch, SizeBudget};
 use lsml_core::problem::NODE_LIMIT;
 use lsml_dtree::boost::{GradientBoost, GradientBoostConfig};
+use lsml_durable::fault::FaultPlan;
+use lsml_durable::wire::Wire;
+use lsml_durable::write_atomic;
 use lsml_pla::Dataset;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -275,8 +278,7 @@ impl Shared {
         };
         self.queue.drain();
         if let Some(path) = &self.cfg.snapshot_path {
-            let snap = Snapshot::capture();
-            if snapshot::save(path, &snap, &self.cfg.fault).is_ok() {
+            if write_atomic(path, Snapshot::capture().encode(), &self.cfg.fault).is_ok() {
                 self.counters
                     .snapshots_saved
                     .fetch_add(1, Ordering::Relaxed);
@@ -521,38 +523,26 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// [`Status::Panicked`].
 fn execute(shared: &Arc<Shared>, job: &Job) -> Vec<u8> {
     let h = job.header;
-    match shared.injector.on_request() {
-        FaultAction::Slow(ms) => thread::sleep(Duration::from_millis(ms)),
-        FaultAction::Panic => {
-            // Panic *inside* the catch boundary below, so injected panics
-            // exercise the same isolation path as real ones.
-            let seed = shared.injector.plan().seed;
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                panic!("injected fault (LSML_FAULT_SEED={seed})")
-            }));
-            shared
-                .counters
-                .panics_caught
-                .fetch_add(1, Ordering::Relaxed);
-            let msg = panic_message(caught.expect_err("the closure always panics"));
-            return encode_response(h.req_id, Status::Panicked, msg.as_bytes());
-        }
-        FaultAction::None => {}
-    }
-    // A deadline that fired while the request sat in the queue (or during an
-    // injected stall): answer without doing the work.
-    if job.token.is_cancelled() {
-        shared
-            .counters
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-        return encode_response(
-            h.req_id,
-            Status::DeadlineExceeded,
-            b"deadline fired before execution",
-        );
+    let action = shared.injector.on_request();
+    if let FaultAction::Slow(ms) = action {
+        thread::sleep(Duration::from_millis(ms));
     }
     let result = catch_unwind(AssertUnwindSafe(|| {
+        // Injected panics fire inside the boundary, so they take the same
+        // isolation path as real ones, and before the deadline check, so
+        // they win over a deadline that already fired.
+        if action == FaultAction::Panic {
+            let seed = shared.injector.plan().seed;
+            panic!("injected fault (LSML_FAULT_SEED={seed})");
+        }
+        // A deadline that fired while the request sat in the queue (or
+        // during an injected stall): answer without doing the work.
+        if job.token.is_cancelled() {
+            return Ok((
+                Status::DeadlineExceeded,
+                b"deadline fired before execution".to_vec(),
+            ));
+        }
         lsml_aig::cancel::with_token(&job.token, || dispatch(shared, job))
     }));
     match result {
@@ -665,7 +655,7 @@ fn dispatch(shared: &Arc<Shared>, job: &Job) -> OpResult {
             Ok((Status::Ok, out))
         }
         Op::SelectBest => {
-            let mut w = protocol::Wire::new(body);
+            let mut w = Wire::new(body);
             let node_limit = w.u32().map_err(|e| (Status::Malformed, e))?;
             let mut s = job.session.lock().expect("session lock");
             let session_limit = s.node_limit;
@@ -693,7 +683,7 @@ fn dispatch(shared: &Arc<Shared>, job: &Job) -> OpResult {
             Ok((Status::Ok, out))
         }
         Op::Learn => {
-            let mut w = protocol::Wire::new(body);
+            let mut w = Wire::new(body);
             let rounds = w.u32().map_err(|e| (Status::Malformed, e))?;
             if rounds == 0 || rounds > 512 {
                 return malformed(format!("rounds {rounds} outside 1..=512"));

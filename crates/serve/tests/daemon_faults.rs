@@ -2,9 +2,9 @@
 //! failure classes — worker panics, deadline blowouts, malformed frames,
 //! snapshot corruption, and a mid-write kill — and keep serving after each.
 
+use lsml_durable::fault::FaultPlan;
 use lsml_pla::{Dataset, Pattern};
 use lsml_serve::client::{Client, ClientError};
-use lsml_serve::fault::FaultPlan;
 use lsml_serve::protocol::Status;
 use lsml_serve::server::{Server, ServerConfig};
 use std::path::PathBuf;
@@ -26,7 +26,7 @@ fn tmp_snapshot(name: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(path.with_extension("tmp"));
+    let _ = std::fs::remove_file(dir.join(format!("{name}.tmp")));
     path
 }
 
@@ -205,7 +205,7 @@ fn killed_snapshot_write_cold_starts() {
     assert_eq!(server_b.counters().cold_start.load(ord), 1);
     assert_alive(&server_b);
     server_b.shutdown_and_join();
-    let _ = std::fs::remove_file(path.with_extension("tmp"));
+    let _ = std::fs::remove_file(path.with_file_name("killed.snap.tmp"));
 }
 
 /// Warm start without faults, for contrast: a clean snapshot reloads and

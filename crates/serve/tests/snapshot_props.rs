@@ -5,7 +5,8 @@
 //! they are free of the global caches and can fuzz aggressively.
 
 use lsml_aig::{Aig, Lit};
-use lsml_serve::snapshot::{Snapshot, SnapshotCompileEntry};
+use lsml_core::compile::CompileCacheEntry;
+use lsml_serve::snapshot::Snapshot;
 use proptest::prelude::*;
 
 const NUM_INPUTS: usize = 5;
@@ -44,7 +45,7 @@ fn snapshot_from(fix: &FixKeys, entries: &Entries) -> Snapshot {
             .collect(),
         compile_entries: entries
             .iter()
-            .map(|(ops, g, b, approx)| SnapshotCompileEntry {
+            .map(|(ops, g, b, approx)| CompileCacheEntry {
                 graph_fingerprint: ((*g as u128) << 64) | *b as u128,
                 budget_fingerprint: *b,
                 aig: build(ops),

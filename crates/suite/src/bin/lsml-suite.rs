@@ -37,7 +37,7 @@ fn main() -> ExitCode {
         checkpoint_path: env_path("LSML_SUITE_CHECKPOINT"),
         checkpoint_every: env_u64("LSML_SUITE_CHECKPOINT_EVERY", 64),
         ingest_max_bytes: ingest::max_bytes_from_env(),
-        fault: lsml_serve::fault::FaultPlan::from_env(),
+        fault: lsml_durable::fault::FaultPlan::from_env(),
         ..SuiteConfig::default()
     };
     let out = env_path("LSML_SUITE_OUT").unwrap_or_else(|| PathBuf::from("BENCH_suite.json"));

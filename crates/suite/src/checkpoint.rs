@@ -1,11 +1,12 @@
 //! Resumable sweep checkpoints.
 //!
 //! Every N circuits the engine persists `(config fingerprint, cursor,
-//! stats)` through the cache snapshots' crash-safe write
-//! ([`lsml_serve::snapshot::write_atomic`]): checksummed payload, temp
-//! file, `fsync`, atomic rename, directory `fsync`. Because unit seeds are counter-derived ([`crate::family`]),
-//! the cursor *is* the RNG stream state — nothing else needs saving for a
-//! resumed sweep to be bit-identical to an uninterrupted one.
+//! stats)` as a sealed file ([`lsml_durable::seal`]) written with
+//! [`lsml_durable::write_atomic`]: checksummed payload, temp file, `fsync`,
+//! atomic rename, directory `fsync`. Because unit seeds are counter-derived
+//! ([`crate::family`]), the cursor *is* the RNG stream state — nothing else
+//! needs saving for a resumed sweep to be bit-identical to an uninterrupted
+//! one.
 //!
 //! Loading never trusts the file: any defect (missing, torn, bit-flipped,
 //! version skew, or a checkpoint from a *different sweep configuration*)
@@ -13,12 +14,8 @@
 //! costs progress, never correctness and never a panic.
 
 use crate::stats::SuiteStats;
-use lsml_aig::fxhash::fnv1a;
-use lsml_serve::fault::FaultPlan;
-use lsml_serve::protocol::Wire;
-use lsml_serve::snapshot::write_atomic;
+use lsml_durable::{open, seal};
 use std::fs;
-use std::io;
 use std::path::Path;
 
 /// File magic: "LSML" + "SWP" (sweep) + format generation.
@@ -48,42 +45,13 @@ impl Checkpoint {
         payload.extend_from_slice(&self.config_fingerprint.to_le_bytes());
         payload.extend_from_slice(&self.cursor.to_le_bytes());
         self.stats.encode(&mut payload);
-        let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out
+        seal(MAGIC, VERSION, &payload)
     }
 
     /// Decodes and verifies checkpoint bytes; must never panic on
     /// arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
-        let mut w = Wire::new(bytes);
-        if w.bytes(MAGIC.len())? != MAGIC {
-            return Err("bad magic".into());
-        }
-        let version = w.u32()?;
-        if version != VERSION {
-            return Err(format!("checkpoint version {version}, expected {VERSION}"));
-        }
-        let payload_len = w.u64()? as usize;
-        if w.remaining() != payload_len + 8 {
-            return Err(format!(
-                "torn checkpoint: header says {payload_len}B payload + 8B checksum, file has {}B",
-                w.remaining()
-            ));
-        }
-        let payload = w.bytes(payload_len)?;
-        let want = w.u64()?;
-        let got = fnv1a(payload);
-        if want != got {
-            return Err(format!(
-                "checksum mismatch: stored {want:#x}, computed {got:#x}"
-            ));
-        }
-        let mut p = Wire::new(payload);
+        let mut p = open(MAGIC, VERSION, bytes)?;
         let cp = Checkpoint {
             config_fingerprint: p.u64()?,
             cursor: p.u64()?,
@@ -94,15 +62,6 @@ impl Checkpoint {
         }
         Ok(cp)
     }
-}
-
-/// Writes `cp` to `path` crash-safely (temp + fsync + atomic rename +
-/// directory fsync). The fault plan's snapshot faults apply here too:
-/// `snapshot_corrupt` flips a payload bit (the checksum must catch it on
-/// load), `snapshot_kill_mid_write` abandons a half-written temp file
-/// without renaming (the target name never holds a torn checkpoint).
-pub fn save(path: &Path, cp: &Checkpoint, fault: &FaultPlan) -> io::Result<()> {
-    write_atomic(path, cp.encode(), fault)
 }
 
 /// Loads a checkpoint, or `None` for *any* failure — missing file, torn
@@ -148,19 +107,22 @@ mod tests {
 
     #[test]
     fn save_load_and_fault_paths() {
+        use lsml_durable::fault::FaultPlan;
+        use lsml_durable::write_atomic;
+
         let dir = std::env::temp_dir().join("lsml-suite-ckpt-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.ckpt");
         let _ = fs::remove_file(&path);
 
-        save(&path, &sample(), &FaultPlan::none()).unwrap();
+        write_atomic(&path, sample().encode(), &FaultPlan::none()).unwrap();
         assert_eq!(load(&path).unwrap(), sample());
 
         let corrupt = FaultPlan {
             snapshot_corrupt: true,
             ..FaultPlan::none()
         };
-        save(&path, &sample(), &corrupt).unwrap();
+        write_atomic(&path, sample().encode(), &corrupt).unwrap();
         assert!(load(&path).is_none(), "bit flip must not load");
 
         let _ = fs::remove_file(&path);
@@ -168,10 +130,10 @@ mod tests {
             snapshot_kill_mid_write: true,
             ..FaultPlan::none()
         };
-        save(&path, &sample(), &kill).unwrap();
+        write_atomic(&path, sample().encode(), &kill).unwrap();
         assert!(!path.exists(), "killed write must never reach the target");
         assert!(load(&path).is_none());
-        let _ = fs::remove_file(path.with_extension("tmp"));
+        let _ = fs::remove_file(dir.join("sweep.ckpt.tmp"));
     }
 
     #[test]
@@ -187,5 +149,8 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
         assert!(Checkpoint::decode(&flipped).is_err());
+        // A huge declared length is rejected, not an overflow.
+        let huge = [&MAGIC[..], &VERSION.to_le_bytes(), &u64::MAX.to_le_bytes()].concat();
+        assert!(Checkpoint::decode(&huge).is_err());
     }
 }

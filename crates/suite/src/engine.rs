@@ -39,7 +39,7 @@
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::family::{FamilySpec, UnitOracle};
-use crate::ingest;
+use crate::ingest::{self, IngestError};
 use crate::stats::{SuiteStats, UnitClass};
 use lsml_aig::cancel::{with_token, CancelToken};
 use lsml_aig::fxhash::fnv1a;
@@ -47,8 +47,9 @@ use lsml_aig::Aig;
 use lsml_core::problem::LearnedCircuit;
 use lsml_core::SizeBudget;
 use lsml_dtree::tree::{DecisionTree, TreeConfig};
+use lsml_durable::fault::FaultPlan;
+use lsml_durable::write_atomic;
 use lsml_pla::{Dataset, Pattern};
-use lsml_serve::fault::FaultPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -244,7 +245,7 @@ fn flush(cfg: &SuiteConfig, fingerprint: u64, cursor: u64, stats: &SuiteStats) -
             cursor,
             stats: stats.clone(),
         };
-        checkpoint::save(path, &cp, &cfg.fault)?;
+        write_atomic(path, cp.encode(), &cfg.fault)?;
     }
     Ok(())
 }
@@ -278,67 +279,62 @@ fn process_unit(cfg: &SuiteConfig, externals: &[PathBuf], index: u64, stats: &mu
     if index < n_gen {
         let fam = &cfg.families[(index / cfg.units_per_family) as usize];
         let unit = index % cfg.units_per_family;
-        let outcome = isolated(&token, inject_panic, inject_stall, || {
-            generated_unit(cfg, fam, unit, &token)
-        });
-        stats
-            .family_mut(&fam.name)
-            .record(outcome.class, outcome.accuracy, outcome.size);
+        let work = || Ok(generated_unit(cfg, fam, unit, &token));
+        // Only an external file can be rejected; a generated unit always
+        // ends in an outcome.
+        if let Ok(outcome) = isolated(&token, inject_panic, inject_stall, work) {
+            stats
+                .family_mut(&fam.name)
+                .record(outcome.class, outcome.accuracy, outcome.size);
+        }
     } else {
-        let path = &externals[(index - n_gen) as usize];
         // Ingestion runs inside the same boundary: the parsers are proven
         // never-panic, but a quarantine decision still deserves the belt
         // *and* the suspenders.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            with_token(&token, || {
-                if inject_panic {
-                    panic!("injected circuit fault (LSML_FAULT_SEED={})", plan.seed);
-                }
-                if inject_stall {
-                    return Ok(stall_until_fired(&token));
-                }
-                ingest::read_circuit(path, cfg.ingest_max_bytes)
-                    .map(|aig| external_unit(cfg, aig, &token))
-            })
-        }));
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.to_string_lossy().into_owned());
-        match result {
-            Ok(Ok(outcome)) => {
+        let path = &externals[(index - n_gen) as usize];
+        let work = || {
+            ingest::read_circuit(path, cfg.ingest_max_bytes)
+                .map(|aig| external_unit(cfg, aig, &token))
+        };
+        match isolated(&token, inject_panic, inject_stall, work) {
+            Ok(outcome) => {
                 stats
                     .family_mut("external")
                     .record(outcome.class, outcome.accuracy, outcome.size);
             }
-            Ok(Err(err)) => stats.record_quarantine(&name, &err.to_string()),
-            Err(_) => stats
-                .family_mut("external")
-                .record(UnitClass::Failed, None, None),
+            Err(err) => {
+                let name = path
+                    .file_name()
+                    .map(|n| n.to_string_lossy().into_owned())
+                    .unwrap_or_else(|| path.to_string_lossy().into_owned());
+                stats.record_quarantine(&name, &err.to_string());
+            }
         }
     }
 }
 
 /// Runs `work` inside the unit isolation boundary, applying the injected
-/// faults *inside* it so they exercise the real containment paths.
+/// faults *inside* it so they exercise the real containment paths. A panic
+/// classifies the unit `Failed`; an `Err` (an unparseable external file)
+/// passes through for quarantine.
 fn isolated(
     token: &CancelToken,
     inject_panic: bool,
     inject_stall: bool,
-    work: impl FnOnce() -> UnitOutcome,
-) -> UnitOutcome {
+    work: impl FnOnce() -> Result<UnitOutcome, IngestError>,
+) -> Result<UnitOutcome, IngestError> {
     let result = catch_unwind(AssertUnwindSafe(|| {
         with_token(token, || {
             if inject_panic {
                 panic!("injected circuit fault");
             }
             if inject_stall {
-                return stall_until_fired(token);
+                return Ok(stall_until_fired(token));
             }
             work()
         })
     }));
-    result.unwrap_or_else(|_| UnitOutcome::bare(UnitClass::Failed))
+    result.unwrap_or_else(|_| Ok(UnitOutcome::bare(UnitClass::Failed)))
 }
 
 /// An injected stall: a diverging unit that only the deadline can stop.

@@ -19,14 +19,16 @@
 //!    `.bench` under a fuzz-proven never-panic contract and quarantines
 //!    failures with a reason instead of aborting the sweep.
 //! 3. **Process death.** SIGTERM, OOM-kill, a power cut. [`checkpoint`]
-//!    persists cursor + accumulated stats every N circuits in the
-//!    checksummed temp+fsync+atomic-rename format of PR 9's snapshots, and
-//!    a resumed sweep reproduces the uninterrupted run's stats
-//!    *bit-identically* (proven in CI by an injected mid-sweep kill).
+//!    persists cursor + accumulated stats every N circuits in the sealed,
+//!    checksummed temp+fsync+atomic-rename format that `lsml-durable`
+//!    provides for the daemon's snapshots too ([`lsml_durable::seal`],
+//!    [`lsml_durable::write_atomic`]), and a resumed sweep reproduces the
+//!    uninterrupted run's stats *bit-identically* (proven in CI by an
+//!    injected mid-sweep kill).
 //!
 //! Faults themselves are deterministic: the `LSML_FAULT_SEED` plan
-//! ([`lsml_serve::fault::FaultPlan`]) gained per-circuit panic/stall/kill
-//! fault points, so every CI failure replays locally.
+//! ([`lsml_durable::fault::FaultPlan`]) carries per-circuit
+//! panic/stall/kill fault points, so every CI failure replays locally.
 //!
 //! Results stream into `BENCH_suite.json`: accuracy and size distributions
 //! by family plus failure-class counts ([`stats`]).

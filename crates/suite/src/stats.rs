@@ -12,7 +12,7 @@
 //! run's stats *bit-identically*, and round-tripping through decimal would
 //! break that.
 
-use lsml_serve::protocol::Wire;
+use lsml_durable::wire::Wire;
 use std::collections::BTreeMap;
 
 /// How one sweep unit ended.

@@ -4,7 +4,7 @@
 //! reproduces the uninterrupted run's stats bit-identically; and a
 //! trashed checkpoint degrades to a cold start, never a crash.
 
-use lsml_serve::fault::FaultPlan;
+use lsml_durable::fault::FaultPlan;
 use lsml_suite::checkpoint;
 use lsml_suite::engine::{run, Limits, RunOutcome, SuiteConfig};
 use std::fs;
