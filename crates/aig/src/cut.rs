@@ -15,16 +15,6 @@
 //! is dropped, which both shrinks the cut and exposes redundant cones
 //! (`f = leaf`, `f = const`) to the rewriter.
 //!
-//! # Wavefront parallelism
-//!
-//! When the pool has workers (gated by [`crate::par`], which also holds
-//! the consolidated `LSML_*` runtime-knob table), large graphs enumerate
-//! level by level: each level's nodes fan out in fixed chunks, every
-//! chunk reads only cut sets at strictly lower levels, and the results
-//! commit in node-id order — reproducing the serial CSR buffers **byte
-//! for byte** (asserted by this module's tests and the `par_props`
-//! proptests).
-//!
 //! # Priority-cut data layout
 //!
 //! The hot path stores cut sets in a per-pass bump arena ([`CutArena`])
@@ -53,6 +43,7 @@
 //! differential-test oracle for the arena (see `tests/cut_npn_props.rs`).
 
 use crate::aig::Aig;
+use crate::lit::Lit;
 
 /// Maximum number of leaves per cut.
 pub const MAX_LEAVES: usize = 6;
@@ -192,8 +183,8 @@ pub(crate) fn swap_down(tt: u64, v: usize) -> u64 {
 
 /// Swaps arbitrary variables `a < b` via one delta swap (a table position
 /// with bit `a` set and bit `b` clear trades places with its mirror).
-/// The NPN lane walk inlines this per-chunk (shared masks across lanes);
-/// kept as the reference primitive for the swap-chain tests.
+/// The NPN lane walk inlines this (shared masks across lanes); kept as the
+/// reference primitive for the swap-chain tests.
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn swap_vars(tt: u64, a: usize, b: usize) -> u64 {
     debug_assert!(a < b && b < MAX_LEAVES);
@@ -299,86 +290,6 @@ fn merge_parts(
     };
     cut.normalize();
     Some(cut)
-}
-
-/// Minimum nodes above the reused prefix before [`CutArena::enumerate`]
-/// takes the wavefront-parallel path — below this the level pass and side
-/// table cost more than the serial loop.
-const PAR_ENUM_MIN_NODES: usize = 256;
-
-/// Minimum nodes per wavefront chunk (amortizes the per-chunk spawn).
-const PAR_ENUM_MIN_CHUNK: usize = 32;
-
-/// A borrowed fanin cut list for [`merge_fanin_cuts`]: either a committed
-/// CSR range of the arena (serial path and reused-prefix reads) or a fresh
-/// per-node vector produced by a wavefront chunk that has not been
-/// committed yet.
-#[derive(Copy, Clone)]
-enum CutListRef<'a> {
-    Csr {
-        arena: &'a CutArena,
-        range: (usize, usize),
-    },
-    Slice(&'a [Cut]),
-}
-
-impl<'a> CutListRef<'a> {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            CutListRef::Csr { range, .. } => range.1 - range.0,
-            CutListRef::Slice(cuts) => cuts.len(),
-        }
-    }
-
-    /// Leaf slice and truth word of the `i`-th cut.
-    #[inline]
-    fn get(&self, i: usize) -> (&'a [u32], u64) {
-        match self {
-            CutListRef::Csr { arena, range } => {
-                let c = range.0 + i;
-                let s = arena.starts[c] as usize;
-                (&arena.leaf_buf[s..s + arena.lens[c] as usize], arena.tts[c])
-            }
-            CutListRef::Slice(cuts) => (cuts[i].leaves(), cuts[i].tt),
-        }
-    }
-}
-
-/// Shared merge core of the serial and wavefront enumeration paths: fills
-/// `cand` (cleared first) with the dominance-filtered pairwise merges of
-/// the two fanin cut lists, capped at `cfg.max_cuts - 1` (the caller
-/// appends the trivial cut). Iteration order matches the original serial
-/// loop exactly, so the resulting cut set — and therefore the CSR bytes —
-/// are identical no matter which path ran.
-fn merge_fanin_cuts(
-    l0: CutListRef<'_>,
-    c0_compl: bool,
-    l1: CutListRef<'_>,
-    c1_compl: bool,
-    cfg: &CutConfig,
-    cand: &mut Vec<Cut>,
-) {
-    cand.clear();
-    'merge: for i0 in 0..l0.len() {
-        let (v0, t0) = l0.get(i0);
-        for i1 in 0..l1.len() {
-            let (v1, t1) = l1.get(i1);
-            let Some(cut) = merge_parts(v0, t0, c0_compl, v1, t1, c1_compl, cfg.k) else {
-                continue;
-            };
-            // Drop duplicates and dominated cuts; a new cut that is
-            // dominated by an existing one is itself dropped.
-            if cand.iter().any(|c| c.dominates(&cut)) {
-                continue;
-            }
-            cand.retain(|c| !cut.dominates(c));
-            cand.push(cut);
-            if cand.len() >= cfg.max_cuts - 1 {
-                break 'merge;
-            }
-        }
-    }
 }
 
 /// [`merge_parts`] over owned [`Cut`]s (the reference enumeration).
@@ -488,22 +399,6 @@ impl CutArena {
         CutArena::default()
     }
 
-    /// Snapshot of the raw CSR buffers, for the byte-identity assertions
-    /// shared by this module's tests and the `crate::par_props` proptests:
-    /// the wavefront path must reproduce the serial buffers verbatim, not
-    /// just equivalent cut sets.
-    #[cfg(test)]
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn csr_bytes(&self) -> (Vec<u32>, Vec<u32>, Vec<u8>, Vec<u32>, Vec<u64>) {
-        (
-            self.node_off.clone(),
-            self.starts.clone(),
-            self.lens.clone(),
-            self.leaf_buf.clone(),
-            self.tts.clone(),
-        )
-    }
-
     /// Enumerates up to `cfg.max_cuts` cuts per node (the trivial cut
     /// included) for every node of the graph. Constants and primary inputs
     /// carry only their trivial cut. Buffers are reused.
@@ -520,14 +415,6 @@ impl CutArena {
     /// enumeration; reused nodes keep their [`CutArena::node_generation`]
     /// stamp.
     pub fn enumerate(&mut self, aig: &Aig, cfg: &CutConfig) {
-        self.enumerate_with(aig, cfg, false);
-    }
-
-    /// [`CutArena::enumerate`] with the wavefront path forced on
-    /// regardless of pool size or node count — test/differential hook
-    /// pinning the byte-identity of the two paths without relying on the
-    /// (process-latched) thread-pool size.
-    pub(crate) fn enumerate_with(&mut self, aig: &Aig, cfg: &CutConfig, force_wavefront: bool) {
         let cfg = cfg.clamped();
         let n_nodes = aig.num_nodes();
         self.generation = self.generation.wrapping_add(1);
@@ -572,47 +459,14 @@ impl CutArena {
         self.prev_cfg = (cfg.k, cfg.max_cuts);
         self.node_gen.resize(n_nodes, self.generation);
 
-        // Wavefront fan-out pays off only when the pool has workers and
-        // enough nodes need recomputing; otherwise the serial CSR loop is
-        // strictly cheaper (no level pass, no side table). Both paths
-        // produce byte-identical buffers — pinned by tests and proptests.
-        if force_wavefront
-            || (crate::par::effective_workers() > 1 && n_nodes - start >= PAR_ENUM_MIN_NODES)
-        {
-            self.enumerate_wavefront(aig, &cfg, start, n_nodes);
-            return;
-        }
-
         let mut cand = std::mem::take(&mut self.cand);
         for n in start as u32..n_nodes as u32 {
-            if !aig.is_and(n) {
-                self.push_cut(&Cut::trivial(n));
-                self.node_off.push(self.tts.len() as u32);
-                continue;
+            if aig.is_and(n) {
+                let (f0, f1) = aig.fanins(n);
+                self.merge_fanin_cuts(f0, f1, &cfg, &mut cand);
+            } else {
+                cand.clear();
             }
-            let (f0, f1) = aig.fanins(n);
-            let l0 = CutListRef::Csr {
-                arena: self,
-                range: (
-                    self.node_off[f0.node() as usize] as usize,
-                    self.node_off[f0.node() as usize + 1] as usize,
-                ),
-            };
-            let l1 = CutListRef::Csr {
-                arena: self,
-                range: (
-                    self.node_off[f1.node() as usize] as usize,
-                    self.node_off[f1.node() as usize + 1] as usize,
-                ),
-            };
-            merge_fanin_cuts(
-                l0,
-                f0.is_complemented(),
-                l1,
-                f1.is_complemented(),
-                &cfg,
-                &mut cand,
-            );
             cand.push(Cut::trivial(n));
             for c in &cand {
                 self.push_cut(c);
@@ -622,110 +476,36 @@ impl CutArena {
         self.cand = cand;
     }
 
-    /// The wavefront-parallel body of [`CutArena::enumerate`]: nodes are
-    /// bucketed by [`Aig::levels`] wavefront, each level's AND nodes fan
-    /// out over the pool in fixed chunks (an AND's fanins sit at strictly
-    /// lower levels, so chunks only read completed cut sets), and the
-    /// per-node results are committed to the CSR buffers in node-id order —
-    /// byte-identical to the serial loop for every partition, because each
-    /// node's cut set is a pure function of its fanins' cut sets and the
-    /// commit order is fixed.
-    fn enumerate_wavefront(&mut self, aig: &Aig, cfg: &CutConfig, start: usize, n_nodes: usize) {
-        use rayon::prelude::*;
-
-        /// Where a node's cut set lives before the final CSR commit.
-        enum NodeCuts {
-            /// Not computed yet (an AND above the reused prefix whose
-            /// level has not been processed).
-            Pending,
-            /// Already resident in the arena (reused-prefix node).
-            Csr(usize, usize),
-            /// Computed this call, waiting for commit.
-            Fresh(Vec<Cut>),
-        }
-
-        let mut side: Vec<NodeCuts> = Vec::with_capacity(n_nodes);
-        for n in 0..n_nodes as u32 {
-            if (n as usize) < start {
-                side.push(NodeCuts::Csr(
-                    self.node_off[n as usize] as usize,
-                    self.node_off[n as usize + 1] as usize,
-                ));
-            } else if !aig.is_and(n) {
-                side.push(NodeCuts::Fresh(vec![Cut::trivial(n)]));
-            } else {
-                side.push(NodeCuts::Pending);
-            }
-        }
-
-        // Level buckets for the nodes to (re)compute.
-        let levels = aig.levels();
-        let max_level = (start..n_nodes)
-            .filter(|&n| aig.is_and(n as u32))
-            .map(|n| levels[n] as usize)
-            .max()
-            .unwrap_or(0);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-        for n in start..n_nodes {
-            if aig.is_and(n as u32) {
-                buckets[levels[n] as usize].push(n as u32);
-            }
-        }
-
-        fn fetch<'a>(arena: &'a CutArena, side: &'a [NodeCuts], n: u32) -> CutListRef<'a> {
-            match &side[n as usize] {
-                NodeCuts::Csr(lo, hi) => CutListRef::Csr {
-                    arena,
-                    range: (*lo, *hi),
-                },
-                NodeCuts::Fresh(cuts) => CutListRef::Slice(cuts),
-                NodeCuts::Pending => unreachable!("fanin level not yet processed"),
-            }
-        }
-
-        let arena: &CutArena = self;
-        for bucket in buckets.iter().filter(|b| !b.is_empty()) {
-            let chunk = crate::par::chunk_len(bucket.len(), PAR_ENUM_MIN_CHUNK);
-            let chunks: Vec<&[u32]> = bucket.chunks(chunk).collect();
-            let computed: Vec<Vec<(u32, Vec<Cut>)>> = chunks
-                .par_iter()
-                .map(|nodes| {
-                    let mut out = Vec::with_capacity(nodes.len());
-                    let mut cand: Vec<Cut> = Vec::new();
-                    for &n in *nodes {
-                        let (f0, f1) = aig.fanins(n);
-                        merge_fanin_cuts(
-                            fetch(arena, &side, f0.node()),
-                            f0.is_complemented(),
-                            fetch(arena, &side, f1.node()),
-                            f1.is_complemented(),
-                            cfg,
-                            &mut cand,
-                        );
-                        cand.push(Cut::trivial(n));
-                        out.push((n, cand.clone()));
-                    }
-                    out
-                })
-                .collect();
-            for row in computed {
-                for (n, cuts) in row {
-                    side[n as usize] = NodeCuts::Fresh(cuts);
+    /// Fills `cand` (cleared first) with the dominance-filtered pairwise
+    /// merges of the committed cut sets of an AND node's fanins `f0` and
+    /// `f1`, capped at `cfg.max_cuts - 1` (the caller appends the trivial
+    /// cut).
+    fn merge_fanin_cuts(&self, f0: Lit, f1: Lit, cfg: &CutConfig, cand: &mut Vec<Cut>) {
+        cand.clear();
+        'merge: for v0 in self.cuts(f0.node()) {
+            for v1 in self.cuts(f1.node()) {
+                let Some(cut) = merge_parts(
+                    v0.leaves,
+                    v0.tt,
+                    f0.is_complemented(),
+                    v1.leaves,
+                    v1.tt,
+                    f1.is_complemented(),
+                    cfg.k,
+                ) else {
+                    continue;
+                };
+                // Drop duplicates and dominated cuts; a new cut that is
+                // dominated by an existing one is itself dropped.
+                if cand.iter().any(|c| c.dominates(&cut)) {
+                    continue;
+                }
+                cand.retain(|c| !cut.dominates(c));
+                cand.push(cut);
+                if cand.len() >= cfg.max_cuts - 1 {
+                    break 'merge;
                 }
             }
-        }
-
-        // Deterministic commit: node-id order, exactly like the serial loop.
-        for entry in side.iter().take(n_nodes).skip(start) {
-            match entry {
-                NodeCuts::Fresh(cuts) => {
-                    for c in cuts {
-                        self.push_cut(c);
-                    }
-                }
-                _ => unreachable!("every node above the prefix was computed"),
-            }
-            self.node_off.push(self.tts.len() as u32);
         }
     }
 
@@ -1081,77 +861,6 @@ mod tests {
             let cb: Vec<Cut> = b.cuts(n).map(|v| v.to_cut()).collect();
             assert_eq!(ca, cb, "node {n}");
         }
-    }
-
-    /// Byte-level CSR equality — stricter than [`assert_arenas_equal`]:
-    /// the wavefront path must reproduce the serial buffers verbatim, not
-    /// just equivalent cut sets.
-    fn assert_arenas_bytes_equal(a: &CutArena, b: &CutArena) {
-        assert_eq!(a.node_off, b.node_off, "node_off");
-        assert_eq!(a.starts, b.starts, "starts");
-        assert_eq!(a.lens, b.lens, "lens");
-        assert_eq!(a.leaf_buf, b.leaf_buf, "leaf_buf");
-        assert_eq!(a.tts, b.tts, "tts");
-    }
-
-    /// A multi-level pseudo-random graph with a few hundred ANDs so the
-    /// wavefront path sees several non-trivial levels and chunks.
-    fn layered_test_aig() -> Aig {
-        let mut g = Aig::new(8);
-        let mut layer = g.inputs();
-        let mut salt = 0x9E37_79B9_7F4A_7C15u64;
-        for _round in 0..6 {
-            let mut next = Vec::new();
-            for i in 0..layer.len() {
-                let a = layer[i];
-                let b = layer[(i * 7 + 3) % layer.len()];
-                salt = salt
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                next.push(if salt & 1 == 0 {
-                    g.xor(a, b)
-                } else {
-                    g.and(a, !b)
-                });
-            }
-            layer = next;
-        }
-        for &l in &layer {
-            g.add_output(l);
-        }
-        g
-    }
-
-    /// The wavefront-parallel enumeration must reproduce the serial CSR
-    /// byte for byte — cold and incremental, at k = 4 and k = 6.
-    #[test]
-    fn wavefront_enumeration_matches_serial_bytes() {
-        let mut g = layered_test_aig();
-        for k in [4usize, 6] {
-            let cfg = CutConfig { k, max_cuts: 8 };
-            let mut serial = CutArena::new();
-            serial.enumerate(&g, &cfg);
-            let mut wave = CutArena::new();
-            wave.enumerate_with(&g, &cfg, true);
-            assert_arenas_bytes_equal(&serial, &wave);
-        }
-
-        // Incremental: extend the graph, re-enumerate the warm wavefront
-        // arena, and compare against a cold serial enumeration. The warm
-        // arena must both reuse the prefix and stay byte-identical.
-        let cfg = CutConfig { k: 6, max_cuts: 8 };
-        let mut wave = CutArena::new();
-        wave.enumerate_with(&g, &cfg, true);
-        let prefix = g.num_nodes();
-        let ins = g.inputs();
-        let extra = g.xor(ins[0], ins[5]);
-        let top = g.and(extra, ins[2]);
-        g.add_output(top);
-        wave.enumerate_with(&g, &cfg, true);
-        assert_eq!(wave.reused_prefix(), prefix);
-        let mut cold = CutArena::new();
-        cold.enumerate(&g, &cfg);
-        assert_arenas_bytes_equal(&cold, &wave);
     }
 
     #[test]

@@ -57,8 +57,6 @@ pub mod lru;
 pub mod npn;
 pub mod opt;
 pub mod par;
-#[cfg(test)]
-mod par_props;
 pub mod rewrite;
 pub mod sim;
 pub mod sweep;

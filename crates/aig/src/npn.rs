@@ -339,10 +339,7 @@ fn semi_canonize_wide(tt: u64) -> SemiNpn {
 /// Candidates are totally ordered by `(table, lane, permutation, phase)`
 /// and the winner is the global minimum of that key — exactly the
 /// first-minimum the classic (negation-outer, permutation-inner,
-/// phase-innermost) serial scan keeps. Because the key is a strict total
-/// order, *any* partition of lanes into chunks merges to the same winner,
-/// which is what makes the multi-worker split bit-identical to the serial
-/// walk (see [`crate::par`]). Lanes whose starting table
+/// phase-innermost) serial scan keeps. Lanes whose starting table
 /// duplicates an earlier lane's (a vacuous or negation-symmetric variable)
 /// only ever produce higher-ranked copies of the earlier lane's candidates,
 /// so they are dropped up front.
@@ -375,33 +372,17 @@ pub fn canonize6(tt: u64) -> (u64, NpnTransform6) {
         }
     }
 
-    let chunk = crate::par::chunk_len(n, 16);
-    let (best, _rank, best_t) = if chunk >= n {
-        canonize6_lanes(&ids[..n], &negs[..n], &tables[..n])
-    } else {
-        use rayon::prelude::*;
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(n)))
-            .collect();
-        ranges
-            .par_iter()
-            .map(|&(s, e)| canonize6_lanes(&ids[s..e], &negs[s..e], &tables[s..e]))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .reduce(|a, b| if (b.0, b.1) < (a.0, a.1) { b } else { a })
-            .expect("at least one lane chunk")
-    };
+    let (best, best_t) = canonize6_lanes(&ids[..n], &negs[..n], &mut tables[..n]);
     debug_assert_eq!(apply6(tt, &best_t), best);
     (best, best_t)
 }
 
-/// One chunk of negation lanes walked through all 720 variable orders in
-/// lockstep (see [`canonize6`]). Returns the chunk minimum of
-/// `(table, rank)` and the transform achieving it, where
-/// `rank = lane << 11 | permutation << 1 | phase` (11 bits cover
-/// `719 << 1 | 1`).
-fn canonize6_lanes(ids: &[u8], negs: &[u8], start: &[u64]) -> (u64, u32, NpnTransform6) {
+/// The negation lanes, starting at `tables`, walked through all 720
+/// variable orders in lockstep (see [`canonize6`]); `tables` is permuted in
+/// place. Returns the minimum table and the transform achieving it; ties
+/// break on the lowest `rank = lane << 11 | permutation << 1 | phase`
+/// (11 bits cover `719 << 1 | 1`).
+fn canonize6_lanes(ids: &[u8], negs: &[u8], tables: &mut [u64]) -> (u64, NpnTransform6) {
     /// Scans the lanes named by `mask` at the current permutation,
     /// refining the winner. Called only for lanes the branch-free filter
     /// flagged (a strict improvement, or a tie a lower rank must resolve);
@@ -437,11 +418,7 @@ fn canonize6_lanes(ids: &[u8], negs: &[u8], start: &[u64]) -> (u64, u32, NpnTran
         }
     }
 
-    let mut lane_buf = [0u64; 64];
-    let k = start.len();
-    lane_buf[..k].copy_from_slice(start);
-    let tables = &mut lane_buf[..k];
-
+    let k = tables.len();
     let mut best = u64::MAX;
     let mut best_rank = u32::MAX;
     let mut best_t = NpnTransform6::IDENTITY;
@@ -506,7 +483,7 @@ fn canonize6_lanes(ids: &[u8], negs: &[u8], start: &[u64]) -> (u64, u32, NpnTran
             i += 1;
         }
     }
-    (best, best_rank, best_t)
+    (best, best_t)
 }
 
 // ---------------------------------------------------------------------------

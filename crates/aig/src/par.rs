@@ -1,19 +1,6 @@
-//! In-pass parallelism gate and the runtime environment-knob reference.
-//!
-//! The synthesis hot paths (wavefront cut enumeration in [`crate::cut`],
-//! block simulation and candidate verification in [`crate::sweep`], the
-//! exact-canonizer lane walk in [`crate::npn`]) fan work out over the
-//! vendored work-stealing pool. Every such fan-out is **bit-identical** to
-//! the serial path by construction — work is partitioned into fixed chunks
-//! whose results merge by a deterministic, schedule-independent rule — so
-//! parallelism is a pure throughput knob, never a semantics knob. This
-//! module decides how wide a pass fans out: over the pool's workers, or
-//! inline when the pool has one (`LSML_NUM_THREADS=1`).
-//!
-//! # Runtime environment knobs
-//!
-//! The consolidated reference for every `LSML_*` variable the engine reads
-//! (each is read **once**, at first use, and latched for the process):
+//! The runtime environment knobs: every `LSML_*` variable the engine
+//! reads, in one table (each is read **once**, at first use, and latched
+//! for the process).
 //!
 //! | Knob | Default | Effect |
 //! |------|---------|--------|
@@ -44,62 +31,3 @@
 //!
 //! Modules reading a knob link back here; this table is the single place
 //! where defaults are documented.
-
-#[cfg(test)]
-thread_local! {
-    /// Test-only override of [`effective_workers`] (`0` = no override).
-    /// The pool's width is latched process-wide at first use, so tests
-    /// that need to drive both the serial and the parallel gates within
-    /// one process (the `crate::par_props` identity proptests) set this
-    /// instead of `LSML_NUM_THREADS`. Thread-local on purpose: every gate
-    /// is consulted on the calling thread before any fan-out, and
-    /// concurrently running tests must not perturb each other's gate.
-    pub(crate) static TEST_FORCE_WORKERS: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(0) };
-}
-
-/// Number of workers a pass may fan out over: the pool width
-/// (`LSML_NUM_THREADS`; starts the pool on first call).
-pub fn effective_workers() -> usize {
-    #[cfg(test)]
-    {
-        let forced = TEST_FORCE_WORKERS.with(|c| c.get());
-        if forced != 0 {
-            return forced;
-        }
-    }
-    rayon::current_num_threads().max(1)
-}
-
-/// Splits `items` into at most `effective_workers()` chunks of at least
-/// `min_per_chunk` items. Returns the chunk size to use (callers partition
-/// `0..items` into consecutive ranges of this size — a *fixed* partition,
-/// so results are independent of which worker runs which chunk).
-pub fn chunk_len(items: usize, min_per_chunk: usize) -> usize {
-    let workers = effective_workers();
-    if workers <= 1 || items <= min_per_chunk {
-        return items.max(1);
-    }
-    items.div_ceil(workers).max(min_per_chunk)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunk_len_covers_all_items_in_at_most_worker_chunks() {
-        for items in [1usize, 2, 5, 63, 64, 100, 1000] {
-            let len = chunk_len(items, 8);
-            assert!(len >= 1);
-            let chunks = items.div_ceil(len);
-            assert!(chunks <= effective_workers().max(1));
-        }
-    }
-
-    #[test]
-    fn single_item_never_panics() {
-        assert_eq!(chunk_len(0, 4), 1);
-        assert_eq!(chunk_len(1, 4), 1);
-    }
-}

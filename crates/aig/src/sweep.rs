@@ -26,18 +26,6 @@
 //!    bit for bit, unlike [`crate::approx`].
 //!
 //! The result never has more AND nodes than the (cleaned-up) input.
-//!
-//! # Wavefront parallelism
-//!
-//! When the pool has workers (gated by [`crate::par`], which also holds
-//! the consolidated `LSML_*` runtime-knob table), large graphs take two
-//! parallel paths, both **bit-identical** to the serial pass: simulation
-//! fans each level wavefront out in fixed chunks (a node's block depends
-//! only on strictly-lower-level blocks), and verification walks candidate
-//! buckets concurrently — buckets evolve independently, and the only
-//! cross-bucket coupling, the global `max_pairs` attempt budget, is
-//! handled by falling back to the serial walk whenever the optimistic
-//! parallel walk would exceed it.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -56,7 +44,6 @@ use crate::lit::Lit;
 /// common node prefix, the prefix's AND signature blocks are copied instead
 /// of re-simulated — node `n`'s block depends only on lower-indexed blocks
 /// and `n`'s fanins, so the copy is bitwise identical to recomputation.
-/// Per-node generation stamps record which call produced each block.
 struct SigCache {
     /// `(f0.raw, f1.raw)` per AND node, sentinel for constant/inputs.
     fanins: Vec<(u32, u32)>,
@@ -64,9 +51,6 @@ struct SigCache {
     /// Words per node in `sig`.
     t: usize,
     sig: Vec<u64>,
-    /// Generation stamp per node (the call that computed its block).
-    gen: Vec<u32>,
-    generation: u32,
 }
 
 thread_local! {
@@ -76,8 +60,6 @@ thread_local! {
             num_inputs: 0,
             t: 0,
             sig: Vec::new(),
-            gen: Vec::new(),
-            generation: 0,
         })
     };
 }
@@ -101,7 +83,8 @@ pub struct SweepConfig {
     /// RNG seed for the random stimulus.
     pub seed: u64,
     /// Candidate pairs whose union cone support exceeds this are skipped
-    /// (exhaustive verification is `2^support` patterns). Default 12.
+    /// (exhaustive verification is `2^support` patterns). Default 12, which
+    /// `0` also selects; values above 16 are clamped to 16.
     pub max_support: usize,
     /// Candidate pairs whose union cone exceeds this many AND nodes are
     /// skipped. Default 400.
@@ -144,22 +127,9 @@ impl SweepConfig {
     }
 }
 
-/// Minimum AND nodes before [`sweep`] takes the wavefront-parallel
-/// simulation / per-bucket verification fan-out — below this the level
-/// pass and per-chunk buffers cost more than the serial loops.
-const PAR_SWEEP_MIN_NODES: usize = 256;
-
 /// One sweeping pass with the configured stimulus. Semantics are preserved
 /// exactly; the result never has more AND nodes than the cleaned-up input.
 pub fn sweep(aig: &Aig, cfg: &SweepConfig) -> Aig {
-    sweep_with_mode(aig, cfg, false)
-}
-
-/// [`sweep`] with the parallel paths forced on regardless of pool size or
-/// node count — test/differential hook pinning the bit-identity of the
-/// serial and wavefront paths without relying on the (process-latched)
-/// thread-pool size.
-pub(crate) fn sweep_with_mode(aig: &Aig, cfg: &SweepConfig, force_parallel: bool) -> Aig {
     let mut g = aig.clone();
     g.cleanup();
     if g.num_ands() == 0 {
@@ -198,8 +168,7 @@ pub(crate) fn sweep_with_mode(aig: &Aig, cfg: &SweepConfig, force_parallel: bool
     // Reuse the previous sweep's AND blocks for the longest common node
     // prefix (input region and fanins validated above each reused block).
     let first_new = SIG_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        cache.generation = cache.generation.wrapping_add(1);
+        let cache = c.borrow();
         let mut first = ni + 1;
         if cache.t == t
             && cache.num_inputs == ni
@@ -214,36 +183,27 @@ pub(crate) fn sweep_with_mode(aig: &Aig, cfg: &SweepConfig, force_parallel: bool
         }
         first
     });
-    let parallel = force_parallel
-        || (crate::par::effective_workers() > 1 && n_nodes - first_new >= PAR_SWEEP_MIN_NODES);
-    if parallel {
-        simulate_wavefront(&g, &mut sig, t, first_new, n_nodes);
-    } else {
-        for n in first_new..n_nodes {
-            let (f0, f1) = g.fanins(n as u32);
-            let (head, rest) = sig.split_at_mut(n * t);
-            let a = &head[f0.node() as usize * t..f0.node() as usize * t + t];
-            let b = &head[f1.node() as usize * t..f1.node() as usize * t + t];
-            kernels::fanin_and_into(
-                a,
-                f0.is_complemented(),
-                b,
-                f1.is_complemented(),
-                &mut rest[..t],
-            );
-        }
+    for n in first_new..n_nodes {
+        let (f0, f1) = g.fanins(n as u32);
+        let (head, rest) = sig.split_at_mut(n * t);
+        let a = &head[f0.node() as usize * t..f0.node() as usize * t + t];
+        let b = &head[f1.node() as usize * t..f1.node() as usize * t + t];
+        kernels::fanin_and_into(
+            a,
+            f0.is_complemented(),
+            b,
+            f1.is_complemented(),
+            &mut rest[..t],
+        );
     }
     SIG_CACHE.with(|c| {
         let mut cache = c.borrow_mut();
-        let generation = cache.generation;
         cache.fanins.truncate(first_new);
         for n in cache.fanins.len()..n_nodes {
             let snap = fanin_snapshot(&g, n as u32);
             cache.fanins.push(snap);
         }
         cache.fanins.truncate(n_nodes);
-        cache.gen.truncate(first_new);
-        cache.gen.resize(n_nodes, generation);
         cache.num_inputs = ni;
         cache.t = t;
         cache.sig.clear();
@@ -267,51 +227,40 @@ pub(crate) fn sweep_with_mode(aig: &Aig, cfg: &SweepConfig, force_parallel: bool
         .collect();
 
     // Representative nodes per canonical-signature hash; AND nodes that
-    // verify equivalent to an earlier node are substituted by it. The
-    // per-bucket fan-out falls back to the serial walk when the summed
-    // attempt counts would have tripped the global budget (see
-    // [`verify_buckets_parallel`]), keeping results bit-identical.
-    let subst: Vec<Option<Lit>> = (if parallel {
-        verify_buckets_parallel(&g, &sig, t, &hashes, cfg, n_nodes)
-    } else {
-        None
-    })
-    .unwrap_or_else(|| {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut subst: Vec<Option<Lit>> = vec![None; n_nodes];
-        let mut attempts = 0usize;
-        let mut scratch = VerifyScratch::sized(n_nodes);
-        for n in 0..n_nodes as u32 {
-            // Same contract as the rewrite node loop: a fired deadline
-            // stops candidate verification mid-walk; the substitutions
-            // gathered so far are individually proven and still apply.
-            if n & 0x3FF == 0 && crate::cancel::cancelled() {
-                break;
-            }
-            let flip = sig[n as usize * t] & 1 == 1;
-            let reps = buckets.entry(hashes[n as usize]).or_default();
-            let mut merged = false;
-            if g.is_and(n) {
-                for &r in reps.iter().take(2) {
-                    if attempts >= cfg.max_pairs() {
-                        break;
-                    }
-                    attempts += 1;
-                    let r_flip = sig[r as usize * t] & 1 == 1;
-                    let inv = flip != r_flip;
-                    if verify_pair(&g, r, n, inv, cfg, &mut scratch) {
-                        subst[n as usize] = Some(Lit::new(r, false).complement_if(inv));
-                        merged = true;
-                        break;
-                    }
+    // verify equivalent to an earlier node are substituted by it.
+    let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    let mut subst: Vec<Option<Lit>> = vec![None; n_nodes];
+    let mut attempts = 0usize;
+    let mut scratch = VerifyScratch::sized(n_nodes);
+    for n in 0..n_nodes as u32 {
+        // Same contract as the rewrite node loop: a fired deadline stops
+        // candidate verification mid-walk; the substitutions gathered so
+        // far are individually proven and still apply.
+        if n & 0x3FF == 0 && crate::cancel::cancelled() {
+            break;
+        }
+        let flip = sig[n as usize * t] & 1 == 1;
+        let reps = buckets.entry(hashes[n as usize]).or_default();
+        let mut merged = false;
+        if g.is_and(n) {
+            for &r in reps.iter().take(2) {
+                if attempts >= cfg.max_pairs() {
+                    break;
+                }
+                attempts += 1;
+                let r_flip = sig[r as usize * t] & 1 == 1;
+                let inv = flip != r_flip;
+                if verify_pair(&g, r, n, inv, cfg, &mut scratch) {
+                    subst[n as usize] = Some(Lit::new(r, false).complement_if(inv));
+                    merged = true;
+                    break;
                 }
             }
-            if !merged && reps.len() < 4 {
-                reps.push(n);
-            }
         }
-        subst
-    });
+        if !merged && reps.len() < 4 {
+            reps.push(n);
+        }
+    }
 
     // --- apply substitutions -------------------------------------------
     let mut fresh = Aig::new(ni);
@@ -350,136 +299,6 @@ pub fn sweep_with_columns(aig: &Aig, cols: Arc<BitColumns>, cfg: &SweepConfig) -
         ..cfg.clone()
     };
     sweep(aig, &cfg)
-}
-
-/// Wavefront-parallel block simulation: AND nodes are bucketed by
-/// [`Aig::levels`], each level's nodes fan out over the pool in fixed
-/// chunks (an AND's fanins sit at strictly lower levels, so chunks only
-/// read completed blocks), and the computed blocks are copied into the
-/// flat signature buffer level by level. Each block is the same
-/// [`kernels::fanin_and_into`] call over the same operand blocks as the
-/// serial loop, so the buffer is bitwise identical for every partition.
-fn simulate_wavefront(g: &Aig, sig: &mut [u64], t: usize, first_new: usize, n_nodes: usize) {
-    use rayon::prelude::*;
-
-    let levels = g.levels();
-    let max_level = (first_new..n_nodes).map(|n| levels[n] as usize).max();
-    let Some(max_level) = max_level else { return };
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for n in first_new..n_nodes {
-        buckets[levels[n] as usize].push(n as u32);
-    }
-
-    for bucket in buckets.iter().filter(|b| !b.is_empty()) {
-        let chunk = crate::par::chunk_len(bucket.len(), 32);
-        let chunks: Vec<&[u32]> = bucket.chunks(chunk).collect();
-        let computed: Vec<Vec<(u32, Vec<u64>)>> = chunks
-            .par_iter()
-            .map(|nodes| {
-                nodes
-                    .iter()
-                    .map(|&n| {
-                        let (f0, f1) = g.fanins(n);
-                        let a = &sig[f0.node() as usize * t..f0.node() as usize * t + t];
-                        let b = &sig[f1.node() as usize * t..f1.node() as usize * t + t];
-                        let mut block = vec![0u64; t];
-                        kernels::fanin_and_into(
-                            a,
-                            f0.is_complemented(),
-                            b,
-                            f1.is_complemented(),
-                            &mut block,
-                        );
-                        (n, block)
-                    })
-                    .collect()
-            })
-            .collect();
-        for row in computed {
-            for (n, block) in row {
-                sig[n as usize * t..n as usize * t + t].copy_from_slice(&block);
-            }
-        }
-    }
-}
-
-/// Per-bucket fan-out of the candidate verification. Candidate classes
-/// evolve independently in the serial walk — the only cross-bucket
-/// coupling is the global [`SweepConfig::max_pairs`] attempt budget — so
-/// each bucket is walked sequentially on its own worker and the attempt
-/// counts are summed afterwards. When the total stays within budget the
-/// cutoff could never have fired on any serial interleaving, making the
-/// outcome identical to the serial walk; on overshoot this returns `None`
-/// and the caller re-runs the serial walk, keeping results bit-identical
-/// in every case.
-fn verify_buckets_parallel(
-    g: &Aig,
-    sig: &[u64],
-    t: usize,
-    hashes: &[u64],
-    cfg: &SweepConfig,
-    n_nodes: usize,
-) -> Option<Vec<Option<Lit>>> {
-    use rayon::prelude::*;
-
-    let mut order: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for n in 0..n_nodes as u32 {
-        order.entry(hashes[n as usize]).or_default().push(n);
-    }
-    // Singleton buckets never attempt a verification and never merge.
-    let buckets: Vec<Vec<u32>> = order.into_values().filter(|b| b.len() >= 2).collect();
-
-    let chunk = crate::par::chunk_len(buckets.len(), 8);
-    let chunks: Vec<&[Vec<u32>]> = buckets.chunks(chunk.max(1)).collect();
-    // The cancel token is thread-local and does not cross the pool
-    // fan-out; capture it here so the workers can observe the deadline.
-    let token = crate::cancel::current();
-    let results: Vec<(Vec<(u32, Lit)>, usize)> = chunks
-        .par_iter()
-        .map(|bucket_group| {
-            let mut scratch = VerifyScratch::sized(n_nodes);
-            let mut merges: Vec<(u32, Lit)> = Vec::new();
-            let mut attempts = 0usize;
-            for nodes in *bucket_group {
-                if token.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    break;
-                }
-                let mut reps: Vec<u32> = Vec::new();
-                for &n in nodes {
-                    let flip = sig[n as usize * t] & 1 == 1;
-                    let mut merged = false;
-                    if g.is_and(n) {
-                        for &r in reps.iter().take(2) {
-                            attempts += 1;
-                            let r_flip = sig[r as usize * t] & 1 == 1;
-                            let inv = flip != r_flip;
-                            if verify_pair(g, r, n, inv, cfg, &mut scratch) {
-                                merges.push((n, Lit::new(r, false).complement_if(inv)));
-                                merged = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !merged && reps.len() < 4 {
-                        reps.push(n);
-                    }
-                }
-            }
-            (merges, attempts)
-        })
-        .collect();
-
-    let total: usize = results.iter().map(|(_, a)| a).sum();
-    if total > cfg.max_pairs() {
-        return None;
-    }
-    let mut subst: Vec<Option<Lit>> = vec![None; n_nodes];
-    for (merges, _) in results {
-        for (n, l) in merges {
-            subst[n as usize] = Some(l);
-        }
-    }
-    Some(subst)
 }
 
 /// Word `k` of the exhaustive enumeration of support variable `j`: patterns
@@ -755,58 +574,6 @@ mod tests {
         .unwrap();
         assert_eq!(warm.structural_fingerprint(), cold.structural_fingerprint());
         equivalent_exhaustive(&build(true), &warm);
-    }
-
-    /// The forced-parallel paths (wavefront simulation + per-bucket
-    /// verification) must reproduce the serial sweep bit for bit.
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for trial in 0..6 {
-            // A random multi-level graph with redundant structures.
-            let mut g = Aig::new(6);
-            let mut pool = g.inputs();
-            for _ in 0..120 {
-                let a = pool[rng.gen_range(0..pool.len())];
-                let b = pool[rng.gen_range(0..pool.len())];
-                let l = match rng.gen_range(0..4) {
-                    0 => g.and(a, b),
-                    1 => g.or(a, !b),
-                    2 => g.xor(a, b),
-                    _ => {
-                        let p = g.and(a, b);
-                        let q = g.and(!a, !b);
-                        g.or(p, q)
-                    }
-                };
-                pool.push(l);
-            }
-            for &l in &pool[pool.len().saturating_sub(4)..] {
-                g.add_output(l);
-            }
-            let cfg = SweepConfig::default();
-            // Fresh threads so the thread-local signature cache of one run
-            // cannot leak into the other.
-            let serial = {
-                let g = g.clone();
-                let cfg = cfg.clone();
-                std::thread::spawn(move || sweep_with_mode(&g, &cfg, false))
-                    .join()
-                    .unwrap()
-            };
-            let par = {
-                let g = g.clone();
-                let cfg = cfg.clone();
-                std::thread::spawn(move || sweep_with_mode(&g, &cfg, true))
-                    .join()
-                    .unwrap()
-            };
-            assert_eq!(
-                serial.structural_fingerprint(),
-                par.structural_fingerprint(),
-                "trial {trial}"
-            );
-        }
     }
 
     #[test]

@@ -19,14 +19,9 @@
 //! learner AND count strictly below the k = 4 result — the run panics (and
 //! CI fails) otherwise.
 //!
-//! Thread scaling: the pool latches `LSML_NUM_THREADS` at first use, so
-//! (as `BENCH_pool.json` does) the k = 6 learner-corpus sweep re-executes
-//! this binary as a child process per thread count — 1, 2 and the default
-//! width — recording each leg's wall-clock into `BENCH_rewrite.json`. Two
-//! more guards ride on the sweep: per-circuit AND counts must be
-//! bit-identical across every leg (parallel passes are a throughput knob,
-//! never a semantics knob — see `lsml_aig::par`), and the default-width
-//! total must beat the PR 5 serial baseline by ≥ 2.5x.
+//! Wall-clock guard: the k = 6 learner-corpus pipeline total, measured in
+//! this process, must be at least 2.5x faster than the recorded baseline
+//! below.
 
 use std::time::Instant;
 
@@ -170,63 +165,10 @@ fn measure(name: String, corpus: &'static str, aig: &Aig) -> Entry {
 }
 
 /// `learner_pipeline_ms_total_k6` recorded by the PR 5 run of this bench
-/// (the last fully serial in-circuit pipeline), and the speedup the
-/// wavefront/parallel-pass PR must deliver against it at default width.
+/// (the first k = 6 engine), and the speedup today's total must keep over
+/// it.
 const K6_BASELINE_PR5_MS: f64 = 808.76;
 const K6_REQUIRED_SPEEDUP: f64 = 2.5;
-
-/// Child role: time the k = 6 learner-corpus fixpoint sweep at the pool
-/// width the parent chose via `LSML_NUM_THREADS`, print the total and the
-/// per-circuit AND counts, exit.
-fn run_scaling_child() {
-    let mut total_ms = 0.0;
-    let mut ands = Vec::new();
-    for (name, aig) in learner_corpus() {
-        let mut cleaned = aig.clone();
-        cleaned.cleanup();
-        let pipeline = Pipeline::resyn_k6(0);
-        let t0 = Instant::now();
-        let piped = pipeline.run_fixpoint(&cleaned, 4);
-        total_ms += t0.elapsed().as_secs_f64() * 1e3;
-        ands.push(format!("{name}:{}", piped.num_ands()));
-    }
-    println!("REWRITE_SCALE_TOTAL_MS={total_ms}");
-    println!("REWRITE_SCALE_ANDS={}", ands.join(";"));
-}
-
-/// Re-runs this binary in child mode at the given pool width (`None` =
-/// the default width) and returns `(k6 total ms, per-circuit AND counts)`.
-fn scaling_child(threads: Option<usize>) -> (f64, String) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = std::process::Command::new(exe);
-    cmd.env("LSML_REWRITE_BENCH_CHILD", "1");
-    match threads {
-        Some(t) => {
-            cmd.env("LSML_NUM_THREADS", t.to_string());
-        }
-        None => {
-            cmd.env_remove("LSML_NUM_THREADS");
-        }
-    }
-    let output = cmd.output().expect("spawn rewrite-bench child");
-    assert!(
-        output.status.success(),
-        "rewrite-bench child ({threads:?} threads) failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let total_ms: f64 = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("REWRITE_SCALE_TOTAL_MS="))
-        .and_then(|v| v.parse().ok())
-        .expect("child printed no REWRITE_SCALE_TOTAL_MS");
-    let ands = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("REWRITE_SCALE_ANDS="))
-        .expect("child printed no REWRITE_SCALE_ANDS")
-        .to_string();
-    (total_ms, ands)
-}
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -242,11 +184,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    if std::env::var("LSML_REWRITE_BENCH_CHILD").is_ok() {
-        run_scaling_child();
-        return;
-    }
-
     let learner = learner_corpus();
     // Criterion probe: the largest learner circuit, so regressions in pass
     // runtime show up in CI.
@@ -355,34 +292,9 @@ fn main() {
         "k=6 median AND count {learner_median_ands_k6} not below k=4 {learner_median_ands_k4}"
     );
 
-    // ---- thread-scaling sweep (child process per pool width) -------------
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let legs: Vec<(Option<usize>, String)> = vec![
-        (Some(1), "1".to_string()),
-        (Some(2), "2".to_string()),
-        (None, format!("default({hw})")),
-    ];
-    println!("k=6 learner-corpus thread scaling:");
-    let mut scale_results = Vec::new();
-    for (threads, label) in &legs {
-        let (total_ms, ands) = scaling_child(*threads);
-        println!("  {label:>10} threads: {total_ms:.0} ms total");
-        scale_results.push((label.clone(), total_ms, ands));
-    }
-    // Bit-identity guard: the parallel passes must never change results,
-    // so every leg's per-circuit AND counts must equal the 1-thread leg's.
-    for (label, _, ands) in &scale_results[1..] {
-        assert_eq!(
-            ands, &scale_results[0].2,
-            "{label}-thread AND counts diverged from the 1-thread leg"
-        );
-    }
     // Wall-clock guard on `learner_pipeline_ms_total_k6` — the same
     // in-process measurement PR 5 recorded, so the ratio compares like
-    // with like (the child legs above start with cold NPN memo and carry
-    // process-startup noise; they are scaling data, not the guard).
+    // with like.
     let scale_speedup = K6_BASELINE_PR5_MS / learner_ms_k6.max(1e-9);
     println!(
         "  default-width speedup vs PR 5 baseline ({K6_BASELINE_PR5_MS:.0} ms): {scale_speedup:.2}x"
@@ -424,19 +336,8 @@ fn main() {
         "  ],\n  \"compile_cache\": {{\"cold_ms\": {compile_cold_ms:.2}, \"warm_ms\": {compile_warm_ms:.4}, \"speedup\": {:.1}, \"hits\": {cache_hits}, \"misses\": {cache_misses}}},\n",
         compile_cold_ms / compile_warm_ms.max(1e-9)
     ));
-    json.push_str("  \"thread_scaling\": {\n    \"legs\": [\n");
-    for (i, (label, total_ms, _)) in scale_results.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"threads\": \"{label}\", \"learner_k6_total_ms\": {total_ms:.2}}}{}\n",
-            if i + 1 == scale_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
     json.push_str(&format!(
-        "    ],\n    \"baseline_pr5_k6_ms\": {K6_BASELINE_PR5_MS},\n    \"default_speedup_vs_pr5\": {scale_speedup:.2},\n    \"ands_bit_identical_across_legs\": true\n  }},\n"
+        "  \"baseline_pr5_k6_ms\": {K6_BASELINE_PR5_MS},\n  \"default_speedup_vs_pr5\": {scale_speedup:.2},\n"
     ));
     json.push_str(&format!(
         "  \"learner_median_reduction_pct\": {learner_median:.2},\n  \"learner_median_reduction_pct_k6\": {learner_median_k6:.2},\n  \"circuits_median_reduction_pct\": {circuits_median:.2},\n  \"learner_median_ands_k4\": {learner_median_ands_k4:.1},\n  \"learner_median_ands_k6\": {learner_median_ands_k6:.1},\n  \"learner_pipeline_ms_total_k4\": {learner_ms_k4:.2},\n  \"learner_pipeline_ms_total_k6\": {learner_ms_k6:.2}\n}}\n"

@@ -23,8 +23,8 @@
 //! backend to [`Backend::Scalar`] regardless of what the CPU supports (read
 //! once, at selection time) — CI runs a whole test leg this way to separate
 //! kernel bugs from dispatch bugs. The consolidated table of every
-//! `LSML_*` runtime knob (pool width, in-pass parallelism, verifiers,
-//! cache budgets) lives in the `lsml_aig::par` module docs.
+//! `LSML_*` runtime knob (pool width, verifiers, cache budgets) lives in
+//! the `lsml_aig::par` module docs.
 //!
 //! Every accelerated variant is **bit-identical** to the scalar reference:
 //! the kernels return integer counts or exact bitwise transforms, so there
