@@ -25,6 +25,8 @@
 
 mod evolve;
 mod genome;
+#[cfg(test)]
+mod pins;
 
 pub use evolve::{evolve, evolve_bootstrapped, CgpConfig, CgpResult};
 pub use genome::{Genome, NodeFn};
