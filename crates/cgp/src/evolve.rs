@@ -1,11 +1,11 @@
 //! The (1+λ) evolution strategy with 1/5-th-rule mutation adaptation.
 
 use lsml_aig::Aig;
-use lsml_pla::Dataset;
+use lsml_pla::{BitColumns, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::genome::{dataset_columns, Genome};
+use crate::genome::{EvalBuffer, Genome};
 
 /// CGP evolution configuration.
 #[derive(Clone, Debug)]
@@ -104,17 +104,14 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
             final_mutation_rate: cfg.mutation_rate,
         };
     }
-    let full_columns = dataset_columns(ds);
-    let full_words = ds.len().div_ceil(64);
-
-    // Mini-batch state: indices of the current batch.
-    let mut batch: Option<Dataset> = None;
-    let mut batch_columns = full_columns.clone();
-    let mut batch_words = full_words;
-    let mut batch_ds: &Dataset = ds;
+    // The columns fitness is scored on: the training set's, or the current
+    // mini-batch's.
+    let mut columns = ds.bit_columns();
+    let mut buf = EvalBuffer::default();
 
     let mut rate = cfg.mutation_rate;
-    let mut parent_fit = fitness(&parent, batch_ds, &batch_columns, batch_words);
+    let mut active = parent.active_mask();
+    let mut parent_fit = fitness(&parent, &active, &columns, &mut buf);
 
     for generation in 0..cfg.generations {
         // Refresh the mini-batch periodically (adds stochasticity that Team 9
@@ -122,31 +119,38 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
         if let Some(bs) = cfg.batch_size {
             if generation % cfg.batch_refresh.max(1) == 0 {
                 let bs = bs.min(ds.len()).max(1);
-                batch = Some(ds.bootstrap(bs, &mut rng));
-                let b = batch.as_ref().expect("just set");
-                batch_columns = dataset_columns(b);
-                batch_words = b.len().div_ceil(64);
+                columns = ds.bootstrap(bs, &mut rng).bit_columns();
                 // Re-evaluate the parent on the new batch.
-                parent_fit = fitness(&parent, b, &batch_columns, batch_words);
+                parent_fit = fitness(&parent, &active, &columns, &mut buf);
             }
         }
-        batch_ds = batch.as_ref().unwrap_or(ds);
 
-        let mut best_child: Option<(Genome, (f64, usize))> = None;
+        // A child whose mutations all missed the parent's phenotype has the
+        // parent's fitness and is not evaluated (Goldman & Punch's neutral
+        // offspring). It still competes, and may replace the parent.
+        let mut best_child: Option<(Genome, (f64, usize), bool)> = None;
         for _ in 0..cfg.lambda {
             let child = parent.mutate(rate, cfg.use_xor, &mut rng);
-            let fit = fitness(&child, batch_ds, &batch_columns, batch_words);
-            if best_child.as_ref().is_none_or(|(_, bf)| fit > *bf) {
-                best_child = Some((child, fit));
+            let neutral = parent.same_phenotype(&child, &active);
+            let fit = if neutral {
+                parent_fit
+            } else {
+                fitness(&child, &child.active_mask(), &columns, &mut buf)
+            };
+            if best_child.as_ref().is_none_or(|(_, bf, _)| fit > *bf) {
+                best_child = Some((child, fit, neutral));
             }
         }
-        let (child, child_fit) = best_child.expect("lambda >= 1");
+        let (child, child_fit, neutral) = best_child.expect("lambda >= 1");
         // (1+4)-ES acceptance: the child replaces the parent when it is at
         // least as fit (neutral drift); phenotype size breaks ties upward.
         let improved = child_fit.0 > parent_fit.0;
         if child_fit >= parent_fit {
             parent = child;
             parent_fit = child_fit;
+            if !neutral {
+                active = parent.active_mask();
+            }
         }
         // 1/5-th success rule (Doerr & Doerr's discrete variant): grow the
         // rate on success, shrink it gently on failure. The floor keeps the
@@ -168,20 +172,17 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
     }
 }
 
-/// Fitness: (accuracy on the batch, phenotype size). Larger phenotypes are
-/// preferred on accuracy ties, following Milano & Nolfi's preferential
+/// Fitness: (accuracy on the columns, phenotype size). Larger phenotypes
+/// are preferred on accuracy ties, following Milano & Nolfi's preferential
 /// selection of larger solutions.
-fn fitness(g: &Genome, ds: &Dataset, columns: &[Vec<u64>], words: usize) -> (f64, usize) {
-    let out = g.eval_columns(columns, words);
-    let mut correct = 0usize;
-    for (i, &o) in ds.outputs().iter().enumerate() {
-        let bit = (out[i / 64] >> (i % 64)) & 1 == 1;
-        if bit == o {
-            correct += 1;
-        }
-    }
-    let acc = correct as f64 / ds.len() as f64;
-    (acc, g.phenotype_size())
+fn fitness(
+    g: &Genome,
+    active: &[bool],
+    columns: &BitColumns,
+    buf: &mut EvalBuffer,
+) -> (f64, usize) {
+    let acc = columns.accuracy_of_packed(g.eval_columns(active, columns, buf));
+    (acc, active.iter().filter(|&&a| a).count())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! CGP genomes: encoding, evaluation, mutation, AIG conversion.
 
 use lsml_aig::{Aig, Lit};
-use lsml_pla::{Dataset, Pattern};
+use lsml_pla::{BitColumns, Dataset, Pattern};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -111,66 +111,80 @@ impl Genome {
         values[self.output as usize]
     }
 
-    /// Bit-packed evaluation over a whole dataset (64 examples per word):
-    /// returns the output column. Only active genes are computed.
-    pub(crate) fn eval_columns(&self, columns: &[Vec<u64>], words: usize) -> Vec<u64> {
-        let active = self.active_mask();
-        let mut values: Vec<Option<Vec<u64>>> = vec![None; self.genes.len()];
-        // Compute in index order; inactive genes stay None.
+    /// Whether `other` has this genome's phenotype, given this genome's
+    /// [`Genome::active_mask`]: the same output and, in every active gene,
+    /// the same function and the connections it reads (an inverter ignores
+    /// its second one). Then `other` has the same active genes and computes
+    /// the same function with them.
+    pub(crate) fn same_phenotype(&self, other: &Genome, active: &[bool]) -> bool {
+        self.output == other.output
+            && self
+                .genes
+                .iter()
+                .zip(&other.genes)
+                .zip(active)
+                .all(|((g, h), &live)| {
+                    !live
+                        || (g.func == h.func && g.a == h.a && (g.func == NodeFn::Not || g.b == h.b))
+                })
+    }
+
+    /// Bit-packed evaluation over a dataset's columns (64 examples per
+    /// word): the output column. Only the genes `active` marks (this
+    /// genome's [`Genome::active_mask`]) are computed, each into its slot of
+    /// one flat buffer reused across calls.
+    pub(crate) fn eval_columns<'a>(
+        &self,
+        active: &[bool],
+        columns: &'a BitColumns,
+        buf: &'a mut EvalBuffer,
+    ) -> &'a [u64] {
+        let words = columns.words_per_column();
+        let ni = self.num_inputs;
+        buf.slots.clear();
+        buf.slots.resize(self.genes.len(), 0);
+        buf.values.clear();
         for (g, gene) in self.genes.iter().enumerate() {
             if !active[g] {
                 continue;
             }
-            let fetch = |idx: u32, values: &[Option<Vec<u64>>]| -> Vec<u64> {
-                let idx = idx as usize;
-                if idx < self.num_inputs {
-                    columns[idx].clone()
-                } else {
-                    values[idx - self.num_inputs]
-                        .clone()
-                        .expect("connections point backwards to active genes")
-                }
+            let next = buf.values.len();
+            buf.slots[g] = next;
+            buf.values.resize(next + words, 0);
+            let (done, out) = buf.values.split_at_mut(next);
+            // Connections point backwards, to inputs or to active genes.
+            let signal = |s: u32| match s as usize {
+                s if s < ni => columns.column(s),
+                s => &done[buf.slots[s - ni]..][..words],
             };
-            let va = fetch(gene.a, &values);
-            let col = match gene.func {
-                NodeFn::Not => va.iter().map(|w| !w).collect(),
+            let a = signal(gene.a);
+            match gene.func {
+                NodeFn::Not => out.iter_mut().zip(a).for_each(|(o, &x)| *o = !x),
                 NodeFn::And => {
-                    let vb = fetch(gene.b, &values);
-                    va.iter().zip(vb.iter()).map(|(x, y)| x & y).collect()
+                    let b = signal(gene.b);
+                    out.iter_mut()
+                        .zip(a.iter().zip(b))
+                        .for_each(|(o, (&x, &y))| *o = x & y);
                 }
                 NodeFn::Xor => {
-                    let vb = fetch(gene.b, &values);
-                    va.iter().zip(vb.iter()).map(|(x, y)| x ^ y).collect()
+                    let b = signal(gene.b);
+                    out.iter_mut()
+                        .zip(a.iter().zip(b))
+                        .for_each(|(o, (&x, &y))| *o = x ^ y);
                 }
-            };
-            values[g] = Some(col);
+            }
         }
-        let out = self.output as usize;
-        if out < self.num_inputs {
-            columns[out].clone()
-        } else {
-            values[out - self.num_inputs]
-                .clone()
-                .unwrap_or_else(|| vec![0; words])
+        match self.output as usize {
+            s if s < ni => columns.column(s),
+            s => &buf.values[buf.slots[s - ni]..][..words],
         }
     }
 
     /// Accuracy over a dataset (bit-parallel).
     pub fn accuracy(&self, ds: &Dataset) -> f64 {
-        if ds.is_empty() {
-            return 1.0;
-        }
-        let words = ds.len().div_ceil(64);
-        let columns = dataset_columns(ds);
-        let out = self.eval_columns(&columns, words);
-        let mut correct = 0usize;
-        for (i, &o) in ds.outputs().iter().enumerate() {
-            let bit = (out[i / 64] >> (i % 64)) & 1 == 1;
-            if bit == o {
-                correct += 1;
-            }
-        }
-        correct as f64 / ds.len() as f64
+        let columns = ds.bit_columns();
+        let mut buf = EvalBuffer::default();
+        columns.accuracy_of_packed(self.eval_columns(&self.active_mask(), &columns, &mut buf))
     }
 
     /// Point-mutates each gene field independently with probability `rate`;
@@ -320,18 +334,12 @@ impl Genome {
     }
 }
 
-/// Bit-packed input columns of a dataset.
-pub(crate) fn dataset_columns(ds: &Dataset) -> Vec<Vec<u64>> {
-    let words = ds.len().div_ceil(64).max(1);
-    let mut columns = vec![vec![0u64; words]; ds.num_inputs()];
-    for (i, (p, _)) in ds.iter().enumerate() {
-        for (v, col) in columns.iter_mut().enumerate() {
-            if p.get(v) {
-                col[i / 64] |= 1 << (i % 64);
-            }
-        }
-    }
-    columns
+/// The buffers [`Genome::eval_columns`] reuses: one slot of packed words
+/// per active gene, and each gene's slot offset.
+#[derive(Default)]
+pub(crate) struct EvalBuffer {
+    slots: Vec<usize>,
+    values: Vec<u64>,
 }
 
 fn random_fn(use_xor: bool, rng: &mut StdRng) -> NodeFn {
@@ -368,17 +376,41 @@ mod tests {
     #[test]
     fn predict_matches_eval_columns() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = Genome::random(5, 30, true, &mut rng);
-        let mut ds = Dataset::new(5);
-        for m in 0..32u64 {
-            ds.push(Pattern::from_index(m, 5), false);
+        let mut buf = EvalBuffer::default();
+        for _ in 0..8 {
+            let g = Genome::random(7, 30, true, &mut rng);
+            let mut ds = Dataset::new(7);
+            for m in 0..128u64 {
+                ds.push(Pattern::from_index(m, 7), false);
+            }
+            let columns = ds.bit_columns();
+            let out = g.eval_columns(&g.active_mask(), &columns, &mut buf);
+            for m in 0..128u64 {
+                let bit = (out[m as usize / 64] >> (m % 64)) & 1 == 1;
+                assert_eq!(bit, g.predict(&Pattern::from_index(m, 7)), "at {m}");
+            }
         }
-        let columns = dataset_columns(&ds);
-        let out = g.eval_columns(&columns, 1);
-        for m in 0..32u64 {
-            let bit = (out[0] >> m) & 1 == 1;
-            assert_eq!(bit, g.predict(&Pattern::from_index(m, 5)), "at {m}");
+    }
+
+    #[test]
+    fn neutral_mutations_keep_the_phenotype() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = Genome::random(4, 40, true, &mut rng);
+        let active = g.active_mask();
+        let mut ds = Dataset::new(4);
+        for m in 0..16u64 {
+            ds.push(Pattern::from_index(m, 4), m % 3 == 0);
         }
+        let mut neutral = 0;
+        for _ in 0..200 {
+            let child = g.mutate(0.05, true, &mut rng);
+            if g.same_phenotype(&child, &active) {
+                neutral += 1;
+                assert_eq!(child.active_mask(), active);
+                assert_eq!(child.accuracy(&ds).to_bits(), g.accuracy(&ds).to_bits());
+            }
+        }
+        assert!(neutral > 0);
     }
 
     #[test]

@@ -8,6 +8,22 @@
 //! trees or ESPRESSO) — in which case the genome is sized at *twice* the
 //! seed AIG, leaving non-functional genes as mutation headroom.
 //!
+//! # Evaluation
+//!
+//! Most children differ from their parent only in inactive genes: their
+//! mutations left every active gene (its function and the connections it
+//! reads) and the output unchanged. Such a child has the parent's
+//! phenotype, so it takes the parent's fitness without an evaluation
+//! (Goldman & Punch, "Reducing Wasted Evaluations in Cartesian Genetic
+//! Programming", EuroGP 2013). It still competes as before and may replace
+//! the parent, and mutation draws from the RNG exactly as it would
+//! otherwise. Every other child computes its active genes, 64 examples per
+//! word, into one reused flat buffer over the dataset's cached
+//! [`BitColumns`](lsml_pla::BitColumns) (or the current mini-batch's), and
+//! is scored with `BitColumns::accuracy_of_packed`, the same `correct / n`
+//! quotient as a bit-by-bit count. A test in the crate pins the evolved
+//! genomes, accuracies and final mutation rates of every flow.
+//!
 //! # Examples
 //!
 //! ```

@@ -5,6 +5,10 @@
 //! are trained, the best per configuration joins a three-model voting
 //! ensemble. Oversized ensembles drop their largest member, exactly as the
 //! paper describes.
+//!
+//! The three fold configurations are independent, so their members are
+//! built on the pool (`portfolio::construct_raw`) and come back in fold
+//! order.
 
 use lsml_aig::{circuits, Aig, Lit};
 use lsml_dtree::{train_fringe_tree, Criterion, DecisionTree, FringeConfig, TreeConfig};
@@ -14,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::compile::{CompileBatch, SizeBudget};
+use crate::portfolio::{construct_raw, RawCandidateTask};
 use crate::problem::{LearnedCircuit, Learner, Problem};
 use crate::teams::stage_seed;
 
@@ -46,7 +51,7 @@ impl Default for Team3 {
 impl Team3 {
     /// Trains the three member types on one fold configuration and returns
     /// the best by held-out accuracy.
-    fn best_member(&self, train: &Dataset, held: &Dataset, seed: u64) -> (Aig, &'static str, f64) {
+    fn best_member(&self, train: &Dataset, held: &Dataset, seed: u64) -> (Aig, &'static str) {
         let tree_cfg = TreeConfig {
             criterion: Criterion::Entropy,
             max_depth: Some(self.max_depth),
@@ -84,7 +89,7 @@ impl Team3 {
                 best = (aig, "nn-lut", acc);
             }
         }
-        best
+        (best.0, best.1)
     }
 }
 
@@ -99,17 +104,25 @@ impl Learner for Team3 {
         let folds = merged.folds(3, &mut rng);
 
         // One member per fold configuration (two folds train, one selects).
-        let mut members: Vec<(Aig, &'static str, f64)> = Vec::new();
-        for i in 0..3 {
-            let held = &folds[i];
-            let mut train = Dataset::new(merged.num_inputs());
-            for (j, fold) in folds.iter().enumerate() {
-                if j != i {
-                    train.extend_from(fold);
-                }
-            }
-            members.push(self.best_member(&train, held, stage_seed(problem, 30 + i as u64)));
-        }
+        // The three are independent, so they train on the pool; the
+        // members come back in fold order.
+        let (folds, n) = (&folds, merged.num_inputs());
+        let tasks: Vec<RawCandidateTask<'_>> = (0..3)
+            .map(|i| -> RawCandidateTask<'_> {
+                Box::new(move || {
+                    let mut train = Dataset::new(n);
+                    for (j, fold) in folds.iter().enumerate() {
+                        if j != i {
+                            train.extend_from(fold);
+                        }
+                    }
+                    let seed = stage_seed(problem, 30 + i as u64);
+                    let (aig, tag) = self.best_member(&train, &folds[i], seed);
+                    Some((aig, tag.to_string()))
+                })
+            })
+            .collect();
+        let members = construct_raw(tasks);
 
         // Voting ensemble; drop the largest member while over budget. The
         // budget check runs on *compiled* ensembles, so members the exact
@@ -127,11 +140,11 @@ impl Learner for Team3 {
         let budget = SizeBudget::exact(problem.node_limit);
         let mut batch = CompileBatch::new(problem.num_inputs(), &budget);
         let shared_inputs = batch.shared().inputs();
-        let mut members: Vec<(Lit, &'static str, usize)> = members
+        let mut members: Vec<(Lit, &str, usize)> = members
             .iter()
-            .map(|(aig, tag, _)| {
+            .map(|(aig, tag)| {
                 let lit = batch.shared().append(aig, &shared_inputs)[0];
-                (lit, *tag, aig.num_ands())
+                (lit, tag.as_str(), aig.num_ands())
             })
             .collect();
         loop {

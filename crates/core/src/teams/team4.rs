@@ -7,14 +7,19 @@
 //! model predicts the *entire* 2^k subspace (everything else don't-care),
 //! and an accuracy–node joint search keeps the best PLA that synthesizes
 //! under the node budget.
+//!
+//! The subspace models are independent, so they are built on the pool
+//! (`portfolio::construct_raw`) and reach the shared batch in push order.
+//! Each expansion is one `Mlp::to_truth_table` walk over the k-cube, with
+//! the cells the training data covers then set to their majority label.
 
 use lsml_aig::circuits::truth_table_cone;
 use lsml_aig::Aig;
 use lsml_dtree::select::{chi2_scores, forest_importance, select_k_best};
 use lsml_neural::{Mlp, MlpConfig};
-use lsml_pla::{Pattern, TruthTable};
 
 use crate::compile::{CompileBatch, SizeBudget};
+use crate::portfolio::{construct_raw, RawCandidateTask};
 use crate::problem::{LearnedCircuit, Learner, Problem};
 use crate::teams::stage_seed;
 
@@ -43,20 +48,45 @@ impl Learner for Team4 {
 
     fn learn(&self, problem: &Problem) -> LearnedCircuit {
         let n = problem.num_inputs();
-        // Benchmarks at or below 12 inputs skip reduction entirely
-        // ("we assume the training set is enough to recover the true
-        // functionality of circuits with less than log2(6400) = 12 inputs").
         let importance = forest_importance(&problem.train, 8, stage_seed(problem, 4));
         let chi2 = chi2_scores(&problem.train);
-        // Level-2 blend: normalized rank average of the two score vectors.
+        // Level-2 blend: the importance plus the chi² score scaled to the
+        // largest one.
+        let maxc = chi2.iter().cloned().fold(1e-12, f64::max);
         let blend: Vec<f64> = importance
             .iter()
             .zip(chi2.iter())
-            .map(|(&a, &b)| {
-                let maxc = chi2.iter().cloned().fold(1e-12, f64::max);
-                a + b / maxc
-            })
+            .map(|(&a, &b)| a + b / maxc)
             .collect();
+
+        // Every k below the input count gets two subspace models, one per
+        // selection level. The first k at or above it ends the sweep with
+        // one full-space model (when n <= 16). With the default ks, then,
+        // benchmarks of up to 10 inputs skip reduction entirely, and those
+        // of 11 to 16 inputs also get the models of the smaller ks. (Team 4
+        // assumed "the training set is enough to recover the true
+        // functionality of circuits with less than log2(6400) = 12
+        // inputs".) The models are independent, so they train on the pool;
+        // the batch receives them in push order.
+        let mut tasks: Vec<RawCandidateTask<'_>> = Vec::new();
+        for &k in &self.ks {
+            if k >= n {
+                if n <= 16 {
+                    tasks.push(Box::new(move || {
+                        let vars: Vec<usize> = (0..n).collect();
+                        Some((self.model_on(problem, &vars), "afn-sub".to_string()))
+                    }));
+                }
+                break;
+            }
+            for (level, scores) in [(1usize, &importance), (2usize, &blend)] {
+                let vars = select_k_best(scores, k);
+                tasks.push(Box::new(move || {
+                    let method = format!("afn-sub(k={k},L{level})");
+                    Some((self.model_on(problem, &vars), method))
+                }));
+            }
+        }
 
         // Team 4 kept "the best PLA that synthesizes under the node budget"
         // — oversized candidates are discarded, not approximated, so the
@@ -65,20 +95,8 @@ impl Learner for Team4 {
         // one shared batch and only the potential winners compile.
         let budget = SizeBudget::exact(problem.node_limit);
         let mut batch = CompileBatch::new(n, &budget);
-        for &k in &self.ks {
-            if k >= n {
-                // No reduction needed/possible; a single full-space model.
-                if n <= 16 {
-                    let aig = self.model_on(problem, &(0..n).collect::<Vec<_>>());
-                    batch.add_aig(&aig, "afn-sub");
-                }
-                break;
-            }
-            for (level, scores) in [(1usize, &importance), (2usize, &blend)] {
-                let vars = select_k_best(scores, k);
-                let aig = self.model_on(problem, &vars);
-                batch.add_aig(&aig, format!("afn-sub(k={k},L{level})"));
-            }
+        for (aig, method) in construct_raw(tasks) {
+            batch.add_aig(&aig, method);
         }
         batch.select_best(&problem.valid, problem.node_limit)
     }
@@ -101,25 +119,17 @@ impl Team4 {
         // Subspace expansion: predict every vertex of the k-cube. Cells the
         // training data actually covers take their majority label (the
         // model must stay exact where it has evidence); only unseen
-        // vertices are left to the network's generalization.
-        let mut pos = vec![0u32; 1 << k];
-        let mut neg = vec![0u32; 1 << k];
+        // vertices, and ties, are left to the network's generalization.
+        let mut votes = vec![0i32; 1 << k];
         for (p, o) in projected.iter() {
-            let cell = p.to_index() as usize;
-            if o {
-                pos[cell] += 1;
-            } else {
-                neg[cell] += 1;
+            votes[p.to_index() as usize] += if o { 1 } else { -1 };
+        }
+        let mut table = mlp.to_truth_table().expect("k <= 16 inputs");
+        for (cell, &vote) in votes.iter().enumerate() {
+            if vote != 0 {
+                table.set(cell as u32, vote > 0);
             }
         }
-        let table = TruthTable::from_fn(k, |m| {
-            let cell = m as usize;
-            match pos[cell].cmp(&neg[cell]) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => mlp.predict(&Pattern::from_index(u64::from(m), k)),
-            }
-        });
         let mut aig = Aig::new(problem.num_inputs());
         let srcs: Vec<_> = vars.iter().map(|&v| aig.input(v)).collect();
         let out = truth_table_cone(&mut aig, &table, &srcs);

@@ -16,7 +16,8 @@
 //!   activation is rounded to a bit and enumerated into a truth table over
 //!   its live binary inputs (Chatterjee's LUT conversion as used by Team 3).
 //! * [`Mlp::to_truth_table`] — full input enumeration for small networks
-//!   (Team 8's approach for benchmarks with under ~20 inputs).
+//!   (Team 8's approach for benchmarks with under ~20 inputs, and Team 4's
+//!   subspace expansion), as one depth-first walk over the input cube.
 //! * [`Mlp::input_importance`] — first-layer weight magnitudes, Team 5's
 //!   NN-guided feature selection.
 //!
@@ -34,7 +35,26 @@
 //!   (the update still skips pruned weights);
 //! * training reuses one set of per-example buffers for a whole fit and
 //!   skips the first layer's input gradient, and prediction makes one
-//!   allocation per call for its two layer buffers.
+//!   allocation per call for its two layer buffers;
+//! * the sigmoid, in training and prediction alike, is `1 / (1 + e^−x)`
+//!   over the crate's own `expf`: a port of glibc 2.36's `expf` as glibc
+//!   builds it for FMA hosts. It computes in `f64` with a fixed sequence of
+//!   correctly rounded operations (four fused multiply-adds among them)
+//!   and glibc's 32-entry `2^(i/32)` table, so it returns glibc's bits on
+//!   any host, and on FMA hosts those are `f32::exp`'s: the crate's tests
+//!   compare every 65,537th input and the boundaries, and an ignored test
+//!   all 2^32 inputs. A layer's sigmoids run as one slice: a first pass
+//!   looks for a value with `|x| ≥ 88` or NaN, and only then does the slice
+//!   take the checked scalar path; otherwise the main path runs without a
+//!   branch and vectorizes;
+//! * [`Mlp::to_truth_table`] walks the input cube depth first, deciding
+//!   input 0 first, and keeps the first layer's sums of each prefix, so a
+//!   vertex's first-layer sum is the bias plus the rows of its set inputs
+//!   added in ascending order, as in `predict`. The 16 vertices that differ
+//!   only in the last four inputs are evaluated together, one per lane:
+//!   each lane adds its set ones of those inputs (in ascending order), and
+//!   every later layer adds each neuron's terms in ascending input order
+//!   per lane.
 //!
 //! None of this changes a bit of the trained weights or the predictions.
 //! Each neuron's pre-activation is its bias plus its live terms `w * x`,
@@ -48,7 +68,10 @@
 //! fanins and quantized circuits of 30 trained and pruned nets with hidden
 //! layers of 4 to 40 neurons, and the workspace's
 //! `mlp_team_scores_are_pinned` pins the scores of Teams 3, 4, 5 and 8 on
-//! one benchmark.
+//! one benchmark. The cube walk is checked against `predict` on every
+//! vertex of sigmoid, ReLU and sine nets over 1 to 16 inputs, and of one
+//! net whose pre-activations pass ±88. Off FMA hosts the port still gives
+//! these pins' bits, but the host's `f32::exp` may differ from it.
 //!
 //! # Examples
 //!
@@ -65,6 +88,7 @@
 //! assert!(mlp.accuracy(&ds) > 0.99);
 //! ```
 
+mod expf;
 mod mlp;
 #[cfg(test)]
 mod pins;

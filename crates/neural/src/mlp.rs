@@ -1,9 +1,11 @@
 //! Dense MLPs trained with per-example SGD steps over minibatches.
 
-use lsml_pla::{Dataset, Pattern};
+use lsml_pla::{Dataset, Pattern, TruthTable};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+use crate::expf;
 
 /// Hidden-layer activation function.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -19,11 +21,12 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f32) -> f32 {
+    /// Applies the activation to a layer's values, in place.
+    fn apply_all(self, values: &mut [f32]) {
         match self {
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Relu => x.max(0.0),
-            Activation::Sine => x.sin(),
+            Activation::Sigmoid => expf::sigmoid_all(values),
+            Activation::Relu => values.iter_mut().for_each(|x| *x = x.max(0.0)),
+            Activation::Sine => values.iter_mut().for_each(|x| *x = x.sin()),
         }
     }
 
@@ -147,6 +150,19 @@ impl Dense {
     /// Pre-activations for real-valued inputs.
     fn forward(&self, input: &[f32], out: &mut [f32]) {
         self.accumulate(input.iter().copied().enumerate(), out);
+    }
+
+    /// [`Dense::forward`] for [`LANES`] examples at once, one per lane:
+    /// each lane gets that example's bits.
+    fn forward_lanes(&self, input: &[[f32; LANES]], out: &mut [[f32; LANES]]) {
+        for (o, sum) in out.iter_mut().enumerate() {
+            let mut acc = [self.bias[o]; LANES];
+            for (i, x) in input.iter().enumerate() {
+                let w = self.weight(o, i);
+                acc = std::array::from_fn(|j| acc[j] + w * x[j]);
+            }
+            *sum = acc;
+        }
     }
 
     /// Pre-activations for 0/1 inputs given as packed words: the bias plus
@@ -335,6 +351,11 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + Clone + '_ {
     })
 }
 
+/// The inputs [`Mlp::predict_cube`] leaves free in each block of vertices.
+const LEAF_INPUTS: usize = 4;
+/// The vertices in one block, one per lane.
+const LANES: usize = 1 << LEAF_INPUTS;
+
 /// Per-example buffers, allocated once per [`Mlp::fit`] call.
 struct Scratch {
     /// Every layer's pre-activations and activations.
@@ -442,10 +463,8 @@ impl Mlp {
                 } else {
                     self.layers[l].forward(&s.act[l - 1], &mut s.pre[l]);
                 }
-                let f = self.activation_of(l);
-                for (y, &x) in s.act[l].iter_mut().zip(&s.pre[l]) {
-                    *y = f.apply(x);
-                }
+                s.act[l].copy_from_slice(&s.pre[l]);
+                self.activation_of(l).apply_all(&mut s.act[l]);
             }
             // Backward pass: logistic loss gives (p - y) at the output's
             // pre-activation. Each layer passes its gradient down (through
@@ -510,13 +529,95 @@ impl Mlp {
             } else {
                 layer.forward(&values[..layer.n_in], out);
             }
-            let f = self.activation_of(l);
-            for x in out {
-                *x = f.apply(*x);
-            }
+            self.activation_of(l).apply_all(out);
             std::mem::swap(&mut values, &mut next);
         }
         values[0]
+    }
+
+    /// [`Mlp::predict`] on every vertex of the input cube: bit `m` of the
+    /// table is the prediction for the pattern whose input `i` is bit `i`
+    /// of `m`.
+    ///
+    /// A depth-first walk decides input 0 first and keeps the first layer's
+    /// sums for each depth, so the sums of a prefix are computed once and
+    /// shared by every vertex below it. The walk stops four inputs short of
+    /// the end, and the 16 vertices below (the last four inputs free) are
+    /// evaluated together, one per lane: the first layer adds the set ones
+    /// of those inputs per lane, then the activations and every later layer
+    /// run 16 wide. Each neuron still adds its terms in ascending input
+    /// order, so every prediction has [`Mlp::predict`]'s bits. Nets with
+    /// fewer than four inputs are predicted vertex by vertex.
+    pub(crate) fn predict_cube(&self) -> TruthTable {
+        let n = self.num_inputs;
+        if n < LEAF_INPUTS {
+            return TruthTable::from_fn(n, |m| self.predict(&Pattern::from_index(u64::from(m), n)));
+        }
+        let upper = n - LEAF_INPUTS;
+        let first = &self.layers[0];
+        let width = first.n_out;
+        // `sums[d * width..][..width]`: the first layer's sums once inputs
+        // `0..d` are decided.
+        let mut sums = vec![0.0; (upper + 1) * width];
+        sums[..width].copy_from_slice(&first.bias);
+        let mut lanes: Vec<Vec<[f32; LANES]>> = self
+            .layers
+            .iter()
+            .map(|l| vec![[0.0; LANES]; l.n_out])
+            .collect();
+        let mut table = TruthTable::zeros(n);
+        // Inputs `0..upper` of the current block, as vertex bits.
+        let mut vertex = 0u32;
+        for v in 0..1u32 << upper {
+            // Bit `upper - 1 - d` of `v` decides input `d`, so input 0
+            // changes slowest, and stepping `v` re-decides only the inputs
+            // from `from` on.
+            let from = match v {
+                0 => 0,
+                _ => upper - 1 - v.trailing_zeros() as usize,
+            };
+            for d in from..upper {
+                let (done, rest) = sums.split_at_mut((d + 1) * width);
+                let (below, next) = (&done[d * width..], &mut rest[..width]);
+                if (v >> (upper - 1 - d)) & 1 == 1 {
+                    vertex |= 1 << d;
+                    for ((s, &b), &w) in next.iter_mut().zip(below).zip(first.row(d)) {
+                        *s = b + w;
+                    }
+                } else {
+                    vertex &= !(1 << d);
+                    next.copy_from_slice(below);
+                }
+            }
+            // Lane `j` sets input `upper + k` when bit `k` of `j` is set.
+            let prefix = &sums[upper * width..];
+            for (o, lane) in lanes[0].iter_mut().enumerate() {
+                let mut acc = [prefix[o]; LANES];
+                for k in 0..LEAF_INPUTS {
+                    let w = first.weight(o, upper + k);
+                    acc = std::array::from_fn(|j| {
+                        if (j >> k) & 1 == 1 {
+                            acc[j] + w
+                        } else {
+                            acc[j]
+                        }
+                    });
+                }
+                *lane = acc;
+            }
+            for (l, layer) in self.layers.iter().enumerate() {
+                if l > 0 {
+                    let (below, above) = lanes.split_at_mut(l);
+                    layer.forward_lanes(&below[l - 1], &mut above[0]);
+                }
+                self.activation_of(l).apply_all(lanes[l].as_flattened_mut());
+            }
+            let out = &lanes[self.layers.len() - 1][0];
+            for (j, &p) in out.iter().enumerate() {
+                table.set(vertex | (j as u32) << upper, p > 0.5);
+            }
+        }
+        table
     }
 
     /// Hard classification at threshold 0.5.
@@ -728,6 +829,67 @@ mod tests {
     fn retrain_rejects_a_narrower_dataset() {
         let mut mlp = two_input_net();
         mlp.retrain(&full_dataset(|m| m == 1, 1), &MlpConfig::default());
+    }
+
+    /// A net over `n` inputs, trained briefly on random examples.
+    fn random_net(n: usize, hidden: &[usize], activation: Activation) -> Mlp {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut ds = Dataset::new(n);
+        for _ in 0..40 {
+            let p = Pattern::random(&mut rng, n);
+            let y = p.get(0) ^ p.get(n / 2);
+            ds.push(p, y);
+        }
+        let cfg = MlpConfig {
+            hidden: hidden.to_vec(),
+            activation,
+            epochs: 3,
+            seed: n as u64,
+            ..MlpConfig::default()
+        };
+        Mlp::train(&ds, &cfg)
+    }
+
+    /// `predict_cube` against `predict` on every vertex.
+    fn assert_cube_matches(mlp: &Mlp, what: &str) {
+        let n = mlp.num_inputs();
+        let table = mlp.predict_cube();
+        for m in 0..1u32 << n {
+            let p = Pattern::from_index(u64::from(m), n);
+            assert_eq!(table.get(m), mlp.predict(&p), "{what}, vertex {m:#b}");
+        }
+    }
+
+    #[test]
+    fn cube_walk_matches_predict() {
+        // 1 to 3 inputs take the per-vertex path, 4 and up the walk. Each
+        // activation alternates between Team 4's and Team 8's shapes, so
+        // it meets both at 15 and at 16 inputs.
+        let activations = [Activation::Sigmoid, Activation::Relu, Activation::Sine];
+        for n in 1..=16 {
+            for (a, &activation) in activations.iter().enumerate() {
+                let hidden = [&[32, 16][..], &[16, 8]][(n + a) % 2];
+                let mlp = random_net(n, hidden, activation);
+                assert_cube_matches(&mlp, &format!("{n} inputs, {activation:?} {hidden:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn cube_walk_matches_predict_past_the_sigmoid_checks() {
+        // Weights scaled up until pre-activations pass ±88, so the slice
+        // sigmoid falls back to its checked path.
+        let mut mlp = random_net(9, &[16, 8], Activation::Sigmoid);
+        for layer in &mut mlp.layers {
+            layer.weights.iter_mut().for_each(|w| *w *= 400.0);
+            layer.bias.iter_mut().for_each(|b| *b *= 400.0);
+        }
+        let reach = mlp.layers[0]
+            .weights
+            .iter()
+            .fold(0.0f32, |m, w| m.max(w.abs()));
+        assert!(reach > 88.0, "largest first-layer weight {reach}");
+        assert_cube_matches(&mlp, "scaled sigmoid net");
     }
 
     #[test]

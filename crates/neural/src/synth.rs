@@ -108,16 +108,14 @@ impl Mlp {
     }
 
     /// Exhaustively enumerates the exact floating-point network into a truth
-    /// table (Team 8's small-input synthesis). `None` if the input count
-    /// exceeds [`lsml_pla::truth::MAX_TRUTH_VARS`].
+    /// table (Team 8's small-input synthesis, and Team 4's subspace
+    /// expansion): bit `m` is [`Mlp::predict`] on the pattern whose input
+    /// `i` is bit `i` of `m`, bit for bit. One depth-first walk over the
+    /// input cube shares each first-layer prefix sum among the vertices
+    /// below it and evaluates 16 vertices per step, one per lane. `None` if
+    /// the input count exceeds [`lsml_pla::truth::MAX_TRUTH_VARS`].
     pub fn to_truth_table(&self) -> Option<TruthTable> {
-        if self.num_inputs() > lsml_pla::truth::MAX_TRUTH_VARS {
-            return None;
-        }
-        let n = self.num_inputs();
-        Some(TruthTable::from_fn(n, |m| {
-            self.predict(&Pattern::from_index(u64::from(m), n))
-        }))
+        (self.num_inputs() <= lsml_pla::truth::MAX_TRUTH_VARS).then(|| self.predict_cube())
     }
 }
 
