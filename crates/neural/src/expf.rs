@@ -16,8 +16,9 @@
 //! gives 0, inf and NaN give `x + x`, `x > 0x1.62e42ep6` gives inf and
 //! `x < −0x1.9fe368p6` gives 0; the rest take the main path. Every step is
 //! a correctly rounded IEEE operation in a fixed order, so the bits are the
-//! same on every host; they equal the host's libm wherever that libm is
-//! glibc's FMA variant (an ignored test below compares all 2^32 inputs).
+//! same on every host (a NaN's payload aside); they equal the host's libm
+//! wherever that libm is glibc's FMA variant (an ignored test below
+//! compares all 2^32 inputs).
 //!
 //! [`sigmoid_all`] is the sigmoid over a slice: one pass decides whether
 //! any value needs the checks, and when none does (the common case) the
@@ -198,18 +199,8 @@ mod tests {
         }
     }
 
-    /// Whether `expf` and `f32::exp` agree on `x`, NaN payloads included.
-    #[cfg(all(target_arch = "x86_64", target_feature = "fma"))]
-    fn agrees(x: f32) -> bool {
-        expf(x).to_bits() == x.exp().to_bits()
-    }
-
-    /// glibc runs `__expf_fma` only on FMA hosts, and the port reproduces
-    /// that variant, so the comparisons with the host's libm are gated on
-    /// FMA. Every 65,537th bit pattern, plus the boundaries.
-    #[test]
-    #[cfg(all(target_arch = "x86_64", target_feature = "fma"))]
-    fn matches_libm_on_a_stride_and_the_boundaries() {
+    /// Every 65,537th bit pattern, then the boundaries.
+    fn stride_and_boundaries() -> impl Iterator<Item = f32> {
         let boundaries = [
             88.0f32,
             -88.0,
@@ -228,38 +219,66 @@ mod tests {
             0.0,
             -0.0,
         ];
-        for x in boundaries {
-            assert!(agrees(x), "at {x} ({:#010x})", x.to_bits());
-        }
-        let mut bits = 0u32;
-        loop {
-            let x = f32::from_bits(bits);
-            assert!(agrees(x), "at {x} ({bits:#010x})");
-            match bits.checked_add(65_537) {
-                Some(next) => bits = next,
-                None => break,
-            }
-        }
+        (0..=u32::MAX / 65_537)
+            .map(|i| f32::from_bits(i * 65_537))
+            .chain(boundaries)
     }
 
-    /// All 2^32 inputs, on two threads (about 15 s in release):
-    /// `cargo test --release -p lsml-neural -- --ignored`.
+    /// The port's bits on the stride, pinned on every host: they are the
+    /// values the libm comparison below checked on a glibc FMA host. A NaN
+    /// counts as one value, since its payload follows the host's `x + x`.
     #[test]
-    #[ignore = "exhaustive; run in release with --ignored"]
-    #[cfg(all(target_arch = "x86_64", target_feature = "fma"))]
-    fn matches_libm_on_every_input() {
-        let half = 1u64 << 31;
-        let check = move |from: u64| {
-            (from..from + half)
-                .map(|b| f32::from_bits(b as u32))
-                .filter(|&x| !agrees(x))
-                .map(f32::to_bits)
-                .take(8)
-                .collect::<Vec<u32>>()
-        };
-        let upper = std::thread::spawn(move || check(half));
-        let mut bad = check(0);
-        bad.extend(upper.join().expect("worker"));
-        assert!(bad.is_empty(), "mismatches at {bad:#010x?}");
+    fn stride_and_boundaries_are_pinned() {
+        let bytes: Vec<u8> = stride_and_boundaries()
+            .map(expf)
+            .flat_map(|y| if y.is_nan() { u32::MAX } else { y.to_bits() }.to_le_bytes())
+            .collect();
+        assert_eq!(lsml_aig::fxhash::fnv1a(&bytes), 0xaeeb_97c0_78be_9616);
+    }
+
+    /// The port reproduces glibc's `__expf_fma`, which glibc runs only on
+    /// FMA hosts, so the comparisons with the host's libm run only where
+    /// that libm is glibc on an FMA host.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "fma",
+        target_os = "linux",
+        target_env = "gnu"
+    ))]
+    mod against_glibc {
+        use super::*;
+
+        /// Whether `expf` and `f32::exp` agree on `x`, NaN payloads
+        /// included.
+        fn agrees(x: f32) -> bool {
+            expf(x).to_bits() == x.exp().to_bits()
+        }
+
+        #[test]
+        fn matches_libm_on_a_stride_and_the_boundaries() {
+            for x in stride_and_boundaries() {
+                assert!(agrees(x), "at {x} ({:#010x})", x.to_bits());
+            }
+        }
+
+        /// All 2^32 inputs, on two threads (about 15 s in release):
+        /// `cargo test --release -p lsml-neural -- --ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn matches_libm_on_every_input() {
+            let half = 1u64 << 31;
+            let check = move |from: u64| {
+                (from..from + half)
+                    .map(|b| f32::from_bits(b as u32))
+                    .filter(|&x| !agrees(x))
+                    .map(f32::to_bits)
+                    .take(8)
+                    .collect::<Vec<u32>>()
+            };
+            let upper = std::thread::spawn(move || check(half));
+            let mut bad = check(0);
+            bad.extend(upper.join().expect("worker"));
+            assert!(bad.is_empty(), "mismatches at {bad:#010x?}");
+        }
     }
 }

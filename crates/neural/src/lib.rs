@@ -41,9 +41,11 @@
 //!   builds it for FMA hosts. It computes in `f64` with a fixed sequence of
 //!   correctly rounded operations (four fused multiply-adds among them)
 //!   and glibc's 32-entry `2^(i/32)` table, so it returns glibc's bits on
-//!   any host, and on FMA hosts those are `f32::exp`'s: the crate's tests
-//!   compare every 65,537th input and the boundaries, and an ignored test
-//!   all 2^32 inputs. A layer's sigmoids run as one slice: a first pass
+//!   any host, and where glibc runs on an FMA host those are `f32::exp`'s.
+//!   The crate's tests pin the port's outputs on every 65,537th input and
+//!   the boundaries on every host, and on x86_64 Linux with glibc and FMA
+//!   compare those inputs (and, in an ignored test, all 2^32) with
+//!   `f32::exp`. A layer's sigmoids run as one slice: a first pass
 //!   looks for a value with `|x| ≥ 88` or NaN, and only then does the slice
 //!   take the checked scalar path; otherwise the main path runs without a
 //!   branch and vectorizes;
@@ -51,7 +53,8 @@
 //!   input 0 first, and keeps the first layer's sums of each prefix, so a
 //!   vertex's first-layer sum is the bias plus the rows of its set inputs
 //!   added in ascending order, as in `predict`. The 16 vertices that differ
-//!   only in the last four inputs are evaluated together, one per lane:
+//!   only in the last four inputs (all `2^n` of a net with `n < 4` inputs)
+//!   are evaluated together, one per lane:
 //!   each lane adds its set ones of those inputs (in ascending order), and
 //!   every later layer adds each neuron's terms in ascending input order
 //!   per lane.

@@ -546,14 +546,13 @@ impl Mlp {
     /// evaluated together, one per lane: the first layer adds the set ones
     /// of those inputs per lane, then the activations and every later layer
     /// run 16 wide. Each neuron still adds its terms in ascending input
-    /// order, so every prediction has [`Mlp::predict`]'s bits. Nets with
-    /// fewer than four inputs are predicted vertex by vertex.
+    /// order, so every prediction has [`Mlp::predict`]'s bits. A net with
+    /// fewer than four inputs is one block, and only its first `2^n` lanes
+    /// are read.
     pub(crate) fn predict_cube(&self) -> TruthTable {
         let n = self.num_inputs;
-        if n < LEAF_INPUTS {
-            return TruthTable::from_fn(n, |m| self.predict(&Pattern::from_index(u64::from(m), n)));
-        }
-        let upper = n - LEAF_INPUTS;
+        let leaf = n.min(LEAF_INPUTS);
+        let upper = n - leaf;
         let first = &self.layers[0];
         let width = first.n_out;
         // `sums[d * width..][..width]`: the first layer's sums once inputs
@@ -593,7 +592,7 @@ impl Mlp {
             let prefix = &sums[upper * width..];
             for (o, lane) in lanes[0].iter_mut().enumerate() {
                 let mut acc = [prefix[o]; LANES];
-                for k in 0..LEAF_INPUTS {
+                for k in 0..leaf {
                     let w = first.weight(o, upper + k);
                     acc = std::array::from_fn(|j| {
                         if (j >> k) & 1 == 1 {
@@ -613,7 +612,7 @@ impl Mlp {
                 self.activation_of(l).apply_all(lanes[l].as_flattened_mut());
             }
             let out = &lanes[self.layers.len() - 1][0];
-            for (j, &p) in out.iter().enumerate() {
+            for (j, &p) in out[..1 << leaf].iter().enumerate() {
                 table.set(vertex | (j as u32) << upper, p > 0.5);
             }
         }
@@ -862,9 +861,10 @@ mod tests {
 
     #[test]
     fn cube_walk_matches_predict() {
-        // 1 to 3 inputs take the per-vertex path, 4 and up the walk. Each
-        // activation alternates between Team 4's and Team 8's shapes, so
-        // it meets both at 15 and at 16 inputs.
+        // 1 to 3 inputs fill part of one block, 4 fill one block, and from
+        // 5 on the walk runs above the blocks. Each activation alternates
+        // between Team 4's and Team 8's shapes, so it meets both at 15 and
+        // at 16 inputs.
         let activations = [Activation::Sigmoid, Activation::Relu, Activation::Sine];
         for n in 1..=16 {
             for (a, &activation) in activations.iter().enumerate() {
