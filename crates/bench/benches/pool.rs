@@ -2,13 +2,13 @@
 //! runtime + bit-sliced-boosting PR, recorded in `BENCH_pool.json`.
 //!
 //! * **boost training** — `GradientBoost::train` (packed-mask subsets,
-//!   bit-sliced ⟨grad, hess⟩ split search fanned out over `join`) vs the
-//!   retained row-major reference trainer, on the 1000×32 acceptance
-//!   dataset.
+//!   bit-sliced ⟨grad, hess⟩ split search, one thread) vs the retained
+//!   row-major reference trainer, on the 1000×32 acceptance dataset.
 //! * **portfolio scaling** — scoring a candidate portfolio against a
-//!   validation set's cached bit columns, under the work-stealing pool vs
-//!   the PR-1 chunked scoped-thread fan-out (reimplemented below,
-//!   faithfully), at 1, 2, and all hardware threads.
+//!   validation set's cached bit columns, one `portfolio::fan_out` task per
+//!   candidate on the work-stealing pool vs the chunked scoped-thread
+//!   fan-out the pool replaced (reimplemented below, faithfully), at 1, 2,
+//!   and all hardware threads.
 //!
 //! The pool latches its size from `LSML_NUM_THREADS` at first use, so the
 //! pool-side thread sweep re-executes this binary as a child process per
@@ -18,12 +18,12 @@
 
 use criterion::Criterion;
 use lsml_aig::Aig;
+use lsml_core::portfolio::{fan_out, Task};
 use lsml_core::LearnedCircuit;
 use lsml_dtree::{GradientBoost, GradientBoostConfig};
 use lsml_pla::{Dataset, Pattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -85,15 +85,14 @@ fn candidates() -> Vec<LearnedCircuit> {
         .collect()
 }
 
-/// Portfolio evaluation on the work-stealing pool: one accuracy scan per
-/// candidate against the cached validation columns.
+/// Portfolio evaluation on the work-stealing pool: one [`fan_out`] task per
+/// candidate, each an accuracy scan against the cached validation columns.
 fn portfolio_pool(cands: &[LearnedCircuit], valid: &Dataset) -> f64 {
-    cands
-        .par_iter()
-        .map(|c| c.accuracy(valid))
-        .collect::<Vec<f64>>()
+    let tasks: Vec<Task<'_, f64>> = cands
         .iter()
-        .fold(0.0f64, |acc, &a| acc.max(a))
+        .map(|c| -> Task<'_, f64> { Box::new(move || Some(c.accuracy(valid))) })
+        .collect();
+    fan_out(tasks).iter().fold(0.0f64, |acc, &a| acc.max(a))
 }
 
 /// The PR-1 driver, verbatim semantics: fixed-size chunks pulled off a

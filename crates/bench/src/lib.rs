@@ -11,9 +11,9 @@
 //! * `LSML_SEED` — global seed (default 0).
 
 use lsml_benchgen::{suite, BenchData, Benchmark, SampleConfig};
+use lsml_core::portfolio::{fan_out, Task};
 use lsml_core::report::TeamResults;
-use lsml_core::{eval, Learner, Problem};
-use rayon::prelude::*;
+use lsml_core::{eval, Learner, Problem, Score};
 
 /// Run-scale parameters read from the environment.
 #[derive(Copy, Clone, Debug)]
@@ -56,44 +56,46 @@ impl RunScale {
     }
 }
 
-/// Runs one learner over the selected benchmarks (rayon fan-out, one task
-/// per benchmark), printing progress to stderr.
+/// Runs one learner over the selected benchmarks (one pool task per
+/// benchmark, scores in benchmark order), printing progress to stderr.
 pub fn run_team(learner: &dyn Learner, scale: &RunScale) -> TeamResults {
-    let benches = scale.benchmarks();
-    let scores = benches
-        .par_iter()
-        .map(|bench| {
-            let data = scale.sample(bench);
-            let problem = Problem::new(data.train.clone(), data.valid.clone(), scale.seed);
-            let circuit = learner.learn(&problem);
-            let score = eval::evaluate(&circuit, &data);
-            eprintln!(
-                "[{}] {}: acc {:.2}% gates {} ({})",
-                learner.name(),
-                bench.name,
-                100.0 * score.test_accuracy,
-                score.and_gates,
-                circuit.method
-            );
-            score
+    let tasks: Vec<Task<'_, Score>> = scale
+        .benchmarks()
+        .into_iter()
+        .map(|bench| -> Task<'_, Score> {
+            Box::new(move || {
+                let data = scale.sample(&bench);
+                let problem = Problem::new(data.train.clone(), data.valid.clone(), scale.seed);
+                let circuit = learner.learn(&problem);
+                let score = eval::evaluate(&circuit, &data);
+                eprintln!(
+                    "[{}] {}: acc {:.2}% gates {} ({})",
+                    learner.name(),
+                    bench.name,
+                    100.0 * score.test_accuracy,
+                    score.and_gates,
+                    circuit.method
+                );
+                Some(score)
+            })
         })
         .collect();
     TeamResults {
         team: learner.name().to_owned(),
-        scores,
+        scores: fan_out(tasks),
     }
 }
 
-/// Runs several learners and collects their results. The team fan-out
-/// nests inside each team's per-benchmark fan-out (and the learners'
-/// internal parallelism below that); the work-stealing pool schedules all
-/// three levels over one fixed worker set, so this no longer multiplies
-/// thread counts the way the scoped-thread runtime did.
+/// Runs several learners and collects their results in learner order. The
+/// team fan-out nests inside each team's per-benchmark fan-out (and the
+/// learners' candidate fan-outs below that); the work-stealing pool
+/// schedules every level over one fixed worker set.
 pub fn run_teams(learners: &[Box<dyn Learner>], scale: &RunScale) -> Vec<TeamResults> {
-    learners
-        .par_iter()
-        .map(|l| run_team(l.as_ref(), scale))
-        .collect()
+    let tasks: Vec<Task<'_, TeamResults>> = learners
+        .iter()
+        .map(|l| -> Task<'_, TeamResults> { Box::new(move || Some(run_team(l.as_ref(), scale))) })
+        .collect();
+    fan_out(tasks)
 }
 
 /// A crude ASCII scatter/series plot for figure binaries: one line per

@@ -58,8 +58,8 @@ use lsml_aig::opt::Pipeline;
 use lsml_aig::sweep::SweepConfig;
 use lsml_aig::{Aig, Lit};
 use lsml_pla::{BitColumns, Dataset, Pattern};
-use rayon::prelude::*;
 
+use crate::portfolio::{fan_out, Task};
 use crate::problem::{LearnedCircuit, Problem};
 
 /// How large a compiled circuit may be, and how hard to fight to get there.
@@ -550,18 +550,6 @@ impl CompileBatch {
         }
     }
 
-    /// The batch a contest problem implies: the problem's inputs and
-    /// [`SizeBudget::for_problem`] budget, with the training columns feeding
-    /// the sweep signatures (the batched analogue of
-    /// [`LearnedCircuit::compile_with_columns`]).
-    pub fn for_problem(problem: &Problem) -> CompileBatch {
-        CompileBatch::new(
-            problem.train.num_inputs(),
-            &SizeBudget::for_problem(problem),
-        )
-        .with_sweep_columns(problem.train.bit_columns())
-    }
-
     /// Feeds `columns` into the sweep's signature stimulus, exactly like
     /// [`LearnedCircuit::compile_with_columns`] does for the per-candidate
     /// path.
@@ -672,39 +660,38 @@ impl CompileBatch {
         self.cands[id].compiled.clone().expect("just compiled")
     }
 
-    /// Compiles every candidate (parallel over the work-stealing pool,
-    /// memoized) and returns them in declaration order.
+    /// Compiles every candidate (fanned out over the work-stealing pool by
+    /// [`crate::portfolio::fan_out`], memoized) and returns them in
+    /// declaration order.
     pub fn compile_all(&mut self) -> Vec<LearnedCircuit> {
-        let todo: Vec<(usize, Aig, String)> = self
-            .cands
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.compiled.is_none())
-            .map(|(i, c)| (i, self.shared.extract_cone(&c.outputs), c.method.clone()))
+        let todo: Vec<usize> = (0..self.cands.len())
+            .filter(|&i| self.cands[i].compiled.is_none())
             .collect();
         let batch = &*self;
         // Cancellation rides a thread-local; carry the caller's token across
         // the pool fan-out so a fired deadline stops in-flight candidates.
-        let token = lsml_aig::cancel::current();
-        let done: Vec<(usize, LearnedCircuit)> = todo
-            .par_iter()
-            .map(|(i, cone, method)| {
-                let run = || {
-                    compile_through(
-                        batch.pipeline(),
-                        cone.clone(),
-                        method.clone(),
-                        &batch.budget,
-                    )
-                };
-                let compiled = match &token {
-                    Some(t) => lsml_aig::cancel::with_token(t, run),
-                    None => run(),
-                };
-                (*i, compiled)
+        let token = &lsml_aig::cancel::current();
+        let tasks: Vec<Task<'_, LearnedCircuit>> = todo
+            .iter()
+            .map(|&i| -> Task<'_, LearnedCircuit> {
+                let cone = batch.cone(i);
+                Box::new(move || {
+                    let run = || {
+                        compile_through(
+                            batch.pipeline(),
+                            cone,
+                            batch.cands[i].method.clone(),
+                            &batch.budget,
+                        )
+                    };
+                    Some(match token {
+                        Some(t) => lsml_aig::cancel::with_token(t, run),
+                        None => run(),
+                    })
+                })
             })
             .collect();
-        for (i, c) in done {
+        for (i, c) in todo.into_iter().zip(fan_out(tasks)) {
             self.cands[i].compiled = Some(c);
         }
         self.cands

@@ -18,7 +18,7 @@ use lsml_lutnet::{beam_search, LutNetConfig};
 use lsml_matching::match_function;
 
 use crate::compile::{CompileBatch, SizeBudget};
-use crate::portfolio::{construct_raw, RawCandidateTask};
+use crate::portfolio::{fan_out, RawCandidateTask};
 use crate::problem::{LearnedCircuit, Learner, Problem};
 use crate::teams::stage_seed;
 
@@ -61,8 +61,8 @@ impl Learner for Team1 {
         };
         // Candidate *construction* fans out over the work-stealing pool:
         // each technique below is an independent boxed task producing a raw
-        // graph, and the result order matches the old sequential push order
-        // exactly. Compilation happens afterwards through one shared batch.
+        // graph, and the results come back in push order. Compilation
+        // happens afterwards through one shared batch.
         let mut tasks: Vec<RawCandidateTask<'_>> = Vec::new();
 
         // (a) Standard-function matching — "the most important method in
@@ -122,7 +122,7 @@ impl Learner for Team1 {
         // keeps `portfolio::select_best`'s exact semantics.
         let mut batch = CompileBatch::new(problem.train.num_inputs(), &budget)
             .with_sweep_columns(problem.train.bit_columns());
-        for (aig, method) in construct_raw(tasks) {
+        for (aig, method) in fan_out(tasks) {
             batch.add_aig(&aig, method);
         }
         batch.select_best(&problem.valid, problem.node_limit)

@@ -7,8 +7,7 @@
 //! paper describes.
 //!
 //! The three fold configurations are independent, so their members are
-//! built on the pool (`portfolio::construct_raw`) and come back in fold
-//! order.
+//! built on the pool (`portfolio::fan_out`) and come back in fold order.
 
 use lsml_aig::{circuits, Aig, Lit};
 use lsml_dtree::{train_fringe_tree, Criterion, DecisionTree, FringeConfig, TreeConfig};
@@ -18,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::compile::{CompileBatch, SizeBudget};
-use crate::portfolio::{construct_raw, RawCandidateTask};
+use crate::portfolio::{fan_out, RawCandidateTask};
 use crate::problem::{LearnedCircuit, Learner, Problem};
 use crate::teams::stage_seed;
 
@@ -122,7 +121,7 @@ impl Learner for Team3 {
                 })
             })
             .collect();
-        let members = construct_raw(tasks);
+        let members = fan_out(tasks);
 
         // Voting ensemble; drop the largest member while over budget. The
         // budget check runs on *compiled* ensembles, so members the exact

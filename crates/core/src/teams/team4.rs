@@ -9,7 +9,7 @@
 //! under the node budget.
 //!
 //! The subspace models are independent, so they are built on the pool
-//! (`portfolio::construct_raw`) and reach the shared batch in push order.
+//! (`portfolio::fan_out`) and reach the shared batch in push order.
 //! Each expansion is one `Mlp::to_truth_table` walk over the k-cube, with
 //! the cells the training data covers then set to their majority label.
 
@@ -19,7 +19,7 @@ use lsml_dtree::select::{chi2_scores, forest_importance, select_k_best};
 use lsml_neural::{Mlp, MlpConfig};
 
 use crate::compile::{CompileBatch, SizeBudget};
-use crate::portfolio::{construct_raw, RawCandidateTask};
+use crate::portfolio::{fan_out, RawCandidateTask};
 use crate::problem::{LearnedCircuit, Learner, Problem};
 use crate::teams::stage_seed;
 
@@ -95,7 +95,7 @@ impl Learner for Team4 {
         // one shared batch and only the potential winners compile.
         let budget = SizeBudget::exact(problem.node_limit);
         let mut batch = CompileBatch::new(n, &budget);
-        for (aig, method) in construct_raw(tasks) {
+        for (aig, method) in fan_out(tasks) {
             batch.add_aig(&aig, method);
         }
         batch.select_best(&problem.valid, problem.node_limit)

@@ -14,7 +14,7 @@ use lsml_dtree::{Criterion, DecisionTree, RandomForest, RandomForestConfig, Tree
 use lsml_neural::{Activation, Mlp, MlpConfig};
 
 use crate::compile::{CompileBatch, SizeBudget};
-use crate::portfolio::{construct_raw, RawCandidateTask};
+use crate::portfolio::{fan_out, RawCandidateTask};
 use crate::problem::{LearnedCircuit, Learner, Problem};
 use crate::teams::stage_seed;
 
@@ -113,7 +113,7 @@ impl Learner for Team8 {
         }
 
         let mut batch = CompileBatch::new(problem.num_inputs(), &budget);
-        for (aig, method) in construct_raw(tasks) {
+        for (aig, method) in fan_out(tasks) {
             batch.add_aig(&aig, method);
         }
         batch.select_best(&problem.valid, problem.node_limit)

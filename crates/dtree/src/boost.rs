@@ -118,10 +118,9 @@ impl GradientBoost {
     /// Trains with logistic loss and second-order (Newton) leaf values.
     ///
     /// The weighted split search runs bit-sliced: each node's example subset
-    /// is a packed mask over the dataset's cached [`BitColumns`], the
+    /// is a packed mask over the dataset's cached [`BitColumns`], and the
     /// per-feature ⟨grad, hess⟩ sums gather over the set bits of
-    /// `mask ∧ column`, and the candidate-feature scan fans out over
-    /// `rayon::join`. The result is bitwise identical to the retained
+    /// `mask ∧ column`. The result is bitwise identical to the retained
     /// row-major reference ([`GradientBoost::train_row_major`]): both visit
     /// examples in ascending order, so every floating-point accumulation
     /// happens in the same order.
@@ -299,8 +298,8 @@ fn sigmoid(x: f64) -> f64 {
 /// The bit-sliced regression-tree builder: node subsets are packed masks
 /// over the dataset's [`BitColumns`]; the weighted split search accumulates
 /// ⟨grad, hess⟩ per (feature, side) by gathering over set bits of
-/// `mask ∧ column`, with the candidate-feature scan fanned out over
-/// `rayon::join`.
+/// `mask ∧ column`, scanning the features in ascending order with the
+/// lowest index winning ties, as the row-major reference does.
 struct RegBuilder<'a> {
     cols: &'a BitColumns,
     grad: &'a [f64],
@@ -310,63 +309,6 @@ struct RegBuilder<'a> {
     /// Free list of mask buffers, recycled across nodes and rounds so the
     /// recursive split never allocates in steady state.
     scratch: Vec<Vec<u64>>,
-}
-
-/// The winning candidate of a split search.
-#[derive(Copy, Clone)]
-struct SplitCand {
-    feature: usize,
-    gain: f64,
-}
-
-/// Shared read-only context for the parallel feature scan of one node.
-struct SplitCtx<'a> {
-    cols: &'a BitColumns,
-    mask: &'a [u64],
-    grad: &'a [f64],
-    hess: &'a [f64],
-    cfg: &'a GradientBoostConfig,
-    /// Parent ⟨grad, hess⟩ sums over `mask`.
-    g: f64,
-    h: f64,
-    parent_obj: f64,
-}
-
-/// Feature ranges at most this wide are scanned serially; wider ranges
-/// split via `join` so idle workers can steal half the scan.
-const SPLIT_SCAN_GRAIN: usize = 8;
-
-/// Best split over features `lo..hi`, lowest feature index winning ties
-/// (the same tie-break as a serial ascending scan, independent of how the
-/// range was split).
-fn best_split(ctx: &SplitCtx<'_>, lo: usize, hi: usize) -> Option<SplitCand> {
-    if hi - lo > SPLIT_SCAN_GRAIN {
-        let mid = lo + (hi - lo) / 2;
-        let (left, right) = rayon::join(|| best_split(ctx, lo, mid), || best_split(ctx, mid, hi));
-        return match (left, right) {
-            (Some(a), Some(b)) => Some(if b.gain > a.gain { b } else { a }),
-            (a, None) => a,
-            (None, b) => b,
-        };
-    }
-    let mut best: Option<SplitCand> = None;
-    for f in lo..hi {
-        let (gh, hh) = ctx
-            .cols
-            .masked_column_weight_sums(f, ctx.mask, ctx.grad, ctx.hess);
-        let gl = ctx.g - gh;
-        let hl = ctx.h - hh;
-        if hh < ctx.cfg.min_child_weight || hl < ctx.cfg.min_child_weight {
-            continue;
-        }
-        let gain = 0.5
-            * (gl * gl / (hl + ctx.cfg.lambda) + gh * gh / (hh + ctx.cfg.lambda) - ctx.parent_obj)
-            - ctx.cfg.gamma;
-        if gain > 1e-12 && best.is_none_or(|b| gain > b.gain) {
-            best = Some(SplitCand { feature: f, gain });
-        }
-    }
-    best
 }
 
 impl RegBuilder<'_> {
@@ -381,17 +323,26 @@ impl RegBuilder<'_> {
         if depth >= self.cfg.max_depth || count < 2 {
             return leaf(&mut self.nodes);
         }
-        let ctx = SplitCtx {
-            cols: self.cols,
-            mask,
-            grad: self.grad,
-            hess: self.hess,
-            cfg: self.cfg,
-            g,
-            h,
-            parent_obj: g * g / (h + self.cfg.lambda),
-        };
-        let Some(SplitCand { feature, .. }) = best_split(&ctx, 0, self.cols.num_inputs()) else {
+        let parent_obj = g * g / (h + self.cfg.lambda);
+        let mut best: Option<(usize, f64)> = None;
+        for f in 0..self.cols.num_inputs() {
+            let (gh, hh) = self
+                .cols
+                .masked_column_weight_sums(f, mask, self.grad, self.hess);
+            let gl = g - gh;
+            let hl = h - hh;
+            if hh < self.cfg.min_child_weight || hl < self.cfg.min_child_weight {
+                continue;
+            }
+            let gain = 0.5
+                * (gl * gl / (hl + self.cfg.lambda) + gh * gh / (hh + self.cfg.lambda)
+                    - parent_obj)
+                - self.cfg.gamma;
+            if gain > 1e-12 && best.is_none_or(|(_, bg)| gain > bg) {
+                best = Some((f, gain));
+            }
+        }
+        let Some((feature, _)) = best else {
             return leaf(&mut self.nodes);
         };
         let mut lo_mask = self.scratch.pop().unwrap_or_default();

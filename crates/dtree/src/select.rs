@@ -10,7 +10,6 @@ use lsml_pla::{Dataset, Pattern};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::forest::{RandomForest, RandomForestConfig};
 
@@ -49,20 +48,17 @@ pub fn forest_importance(ds: &Dataset, n_trees: usize, seed: u64) -> Vec<f64> {
 /// the average accuracy drop of `predict` over `repeats` shuffles (Team 4's
 /// "10-repeat permutation importance").
 ///
-/// The per-feature scans are independent, so they fan out over the
-/// work-stealing pool; each feature derives its own deterministic RNG
-/// stream from `seed`, making the result a pure function of
-/// `(dataset, predict, repeats, seed)` regardless of thread count.
+/// Each feature derives its own deterministic RNG stream from `seed`, so a
+/// feature's score does not depend on which other features are scanned.
 pub fn permutation_importance(
     ds: &Dataset,
-    predict: impl Fn(&Pattern) -> bool + Sync,
+    predict: impl Fn(&Pattern) -> bool,
     repeats: usize,
     seed: u64,
 ) -> Vec<f64> {
     let baseline = ds.accuracy_of(&predict);
     let n = ds.len();
     (0..ds.num_inputs())
-        .into_par_iter()
         .map(|f| {
             // SplitMix64-style stream derivation keeps feature streams
             // decorrelated even for adjacent seeds.

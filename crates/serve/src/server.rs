@@ -1,7 +1,9 @@
 //! The resident synthesis daemon.
 //!
-//! Thread architecture (all plain threads; heavy ops fan out over the
-//! work-stealing pool from whichever worker runs them):
+//! Thread architecture (all plain threads; an op runs entirely on the
+//! worker that popped it, since none enters the work-stealing pool:
+//! `Learn` trains serially and `SelectBest` takes the batch's exact lazy
+//! path):
 //!
 //! ```text
 //! accept thread ──► reader thread per connection ──► RequestQueue (bounded)
@@ -518,9 +520,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Runs one request to a response payload. This is the panic-isolation
-/// boundary: everything inside (including the engine's pool fan-outs, whose
-/// panics propagate here via the pool's join) is caught and answered as
-/// [`Status::Panicked`].
+/// boundary: a panic anywhere inside is caught on this worker thread and
+/// answered as [`Status::Panicked`].
 fn execute(shared: &Arc<Shared>, job: &Job) -> Vec<u8> {
     let h = job.header;
     let action = shared.injector.on_request();
