@@ -21,8 +21,8 @@
 //!   convergence).
 //!
 //! The pool's fan-outs (`CompileBatch::compile_all`) re-install the caller's
-//! token inside each closure, so cancellation crosses the work-stealing
-//! boundary with the work.
+//! token inside each closure, so cancellation crosses to the pool's threads
+//! with the work.
 
 use loom::sync::atomic::{AtomicBool, Ordering};
 use std::cell::RefCell;

@@ -20,9 +20,9 @@
 //! * [`lru`] — the lock-striped, byte-budgeted LRU map under the compile
 //!   cache, the fixpoint cache and the NPN library.
 //! * [`sweep`] — simulation-guided equivalence sweeping.
-//! * [`opt`] — the composable [`Pass`](opt::Pass) /
-//!   [`Pipeline`](opt::Pipeline) layer chaining the exact passes
-//!   (`balance | rewrite | sweep | cleanup`, iterated to fixpoint).
+//! * [`opt`] — the composable [`Pass`] / [`Pipeline`] layer chaining the
+//!   exact passes (`balance | rewrite | sweep | cleanup`, iterated to
+//!   fixpoint).
 //! * [`approx`] — the random-simulation approximation pass Team 1 used to
 //!   push oversized AIGs under the contest's node limit, now interleaved
 //!   with the exact pipeline (see [`approx::reduce`]).

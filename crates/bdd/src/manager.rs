@@ -261,12 +261,12 @@ impl BddManager {
     ///
     /// Construction is *columnar*: instead of building one minterm BDD per
     /// row and OR-ing them together (quadratic apply-cache churn), the
-    /// dataset's cached [`BitColumns`] transpose is cofactored top-down —
-    /// the example subset reaching each recursion is a packed mask, split
-    /// by the current variable's column with one `AND`/`ANDNOT` pass, and a
-    /// leaf is positive iff `|mask ∧ labels| > 0` (one popcount). BDDs are
-    /// canonical per manager, so the result is node-for-node identical to
-    /// the row-major construction (retained as
+    /// dataset's cached [`BitColumns`](lsml_pla::BitColumns) transpose is
+    /// cofactored top-down — the example subset reaching each recursion is
+    /// a packed mask, split by the current variable's column with one
+    /// `AND`/`ANDNOT` pass, and a leaf is positive iff `|mask ∧ labels| > 0`
+    /// (one popcount). BDDs are canonical per manager, so the result is
+    /// node-for-node identical to the row-major construction (retained as
     /// [`BddManager::from_dataset_row_major`]).
     ///
     /// # Panics

@@ -1,4 +1,4 @@
-//! Work-stealing-pool benchmarks: the two acceptance measurements of the
+//! Worker-pool benchmarks: the two acceptance measurements of the
 //! runtime + bit-sliced-boosting PR, recorded in `BENCH_pool.json`.
 //!
 //! * **boost training** — `GradientBoost::train` (packed-mask subsets,
@@ -6,9 +6,9 @@
 //!   row-major reference trainer, on the 1000×32 acceptance dataset.
 //! * **portfolio scaling** — scoring a candidate portfolio against a
 //!   validation set's cached bit columns, one `portfolio::fan_out` task per
-//!   candidate on the work-stealing pool vs the chunked scoped-thread
-//!   fan-out the pool replaced (reimplemented below, faithfully), at 1, 2,
-//!   and all hardware threads.
+//!   candidate on the `rayon` pool vs the chunked scoped-thread fan-out the
+//!   pool replaced (reimplemented below, faithfully), at 1, 2, and all
+//!   hardware threads.
 //!
 //! The pool latches its size from `LSML_NUM_THREADS` at first use, so the
 //! pool-side thread sweep re-executes this binary as a child process per
@@ -85,7 +85,7 @@ fn candidates() -> Vec<LearnedCircuit> {
         .collect()
 }
 
-/// Portfolio evaluation on the work-stealing pool: one [`fan_out`] task per
+/// Portfolio evaluation on the `rayon` pool: one [`fan_out`] task per
 /// candidate, each an accuracy scan against the cached validation columns.
 fn portfolio_pool(cands: &[LearnedCircuit], valid: &Dataset) -> f64 {
     let tasks: Vec<Task<'_, f64>> = cands

@@ -336,13 +336,13 @@ mod tests {
     #[test]
     fn seeded_std_atomic_import_in_rayon_is_flagged() {
         let src = "use std::sync::atomic::AtomicUsize;\nuse std::sync::Mutex;\n";
-        let findings = audit_facade("vendor/rayon/src/deque.rs", src);
+        let findings = audit_facade("vendor/rayon/src/registry.rs", src);
         assert_eq!(findings.len(), 2, "{findings:?}");
     }
 
     #[test]
     fn facade_scope_includes_rayon_src_but_not_sync_rs() {
-        assert!(facade_rule_applies(Path::new("vendor/rayon/src/deque.rs")));
+        assert!(facade_rule_applies(Path::new("vendor/rayon/src/job.rs")));
         assert!(facade_rule_applies(Path::new(
             "vendor/rayon/src/registry.rs"
         )));

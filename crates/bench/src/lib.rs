@@ -88,8 +88,8 @@ pub fn run_team(learner: &dyn Learner, scale: &RunScale) -> TeamResults {
 
 /// Runs several learners and collects their results in learner order. The
 /// team fan-out nests inside each team's per-benchmark fan-out (and the
-/// learners' candidate fan-outs below that); the work-stealing pool
-/// schedules every level over one fixed worker set.
+/// learners' candidate fan-outs below that); the `rayon` pool schedules
+/// every level over one fixed worker set.
 pub fn run_teams(learners: &[Box<dyn Learner>], scale: &RunScale) -> Vec<TeamResults> {
     let tasks: Vec<Task<'_, TeamResults>> = learners
         .iter()

@@ -46,7 +46,7 @@
 //! logic structurally instead of re-building it per candidate. Candidates
 //! are output cones of the shared graph; compilation extracts a cone in
 //! *canonical creation order* ([`lsml_aig::Aig::extract_cone`]) and feeds it
-//! through the very same [`compile_through`] tail as the per-candidate path,
+//! through the very same `compile_through` tail as the per-candidate path,
 //! which keeps batched results bit-identical to from-scratch compiles and
 //! lets both paths share cache entries.
 
@@ -648,7 +648,7 @@ impl CompileBatch {
     }
 
     /// Compiles one candidate (memoized): canonical cone extraction plus the
-    /// shared [`compile_through`] tail, so the result — graph, label, cache
+    /// shared `compile_through` tail, so the result — graph, label, cache
     /// key — is identical to compiling the standalone candidate.
     pub fn compile(&mut self, id: usize) -> LearnedCircuit {
         if self.cands[id].compiled.is_none() {
@@ -660,7 +660,7 @@ impl CompileBatch {
         self.cands[id].compiled.clone().expect("just compiled")
     }
 
-    /// Compiles every candidate (fanned out over the work-stealing pool by
+    /// Compiles every candidate (fanned out over the `rayon` pool by
     /// [`crate::portfolio::fan_out`], memoized) and returns them in
     /// declaration order.
     pub fn compile_all(&mut self) -> Vec<LearnedCircuit> {

@@ -7,7 +7,7 @@
 //! validation accuracy under the node limit; [`select_best`] is that
 //! selector.
 //!
-//! [`fan_out`] runs independent tasks on the work-stealing pool and hands
+//! [`fan_out`] runs independent tasks on the `rayon` pool and hands
 //! their results back in task order. Teams 1, 3, 4 and 8 build their
 //! candidates through it, [`crate::compile::CompileBatch::compile_all`]
 //! compiles through it, and the contest harness runs its teams and
@@ -29,7 +29,7 @@ pub type Task<'a, T> = Box<dyn FnOnce() -> Option<T> + Send + 'a>;
 /// candidate lands in one shared strashed graph before optimization.
 pub type RawCandidateTask<'a> = Task<'a, (lsml_aig::Aig, String)>;
 
-/// Runs `tasks` on the work-stealing pool and returns their results in task
+/// Runs `tasks` on the `rayon` pool and returns their results in task
 /// order with the `None`s dropped, so every downstream tie-break is the one
 /// a serial loop over the same tasks would make.
 ///
@@ -160,7 +160,7 @@ mod tests {
     }
 
     /// A task whose cost is skewed towards both ends of the list, so the
-    /// halves a worker steals are uneven; `None` for every fifth index.
+    /// halves other threads take are uneven; `None` for every fifth index.
     fn skewed_task(i: usize, ran: &AtomicUsize) -> Option<u64> {
         ran.fetch_add(1, Ordering::Relaxed);
         let cost = if (96..4000).contains(&i) { 10 } else { 20_000 };

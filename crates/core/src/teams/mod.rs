@@ -1,7 +1,7 @@
 //! The ten contest team pipelines (paper Section IV and appendix).
 //!
-//! Each team is a [`Learner`](crate::Learner) faithful to the description in
-//! the paper, built from the workspace substrates. Where a team relied on an
+//! Each team is a [`Learner`] faithful to the description in the paper,
+//! built from the workspace substrates. Where a team relied on an
 //! external tool (WEKA, scikit-learn, XGBoost, ABC) the equivalent substrate
 //! crate stands in; deviations are noted in each team's module docs.
 //!

@@ -59,7 +59,7 @@ impl Learner for Team1 {
             seed: stage_seed(problem, 7),
             ..SizeBudget::for_problem(problem)
         };
-        // Candidate *construction* fans out over the work-stealing pool:
+        // Candidate *construction* fans out over the `rayon` pool:
         // each technique below is an independent boxed task producing a raw
         // graph, and the results come back in push order. Compilation
         // happens afterwards through one shared batch.

@@ -156,10 +156,17 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>
     Ok(Some(payload))
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in one write and flushes.
+///
+/// The client and the daemon write to unbuffered sockets with Nagle off,
+/// where every write leaves as its own TCP segment: a separate write for
+/// the prefix would wake the reader for four bytes, only for it to block
+/// again on the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -315,6 +322,37 @@ mod tests {
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 64).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts the `write` calls that reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1, "length prefix and payload in one write");
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The resident synthesis daemon.
 //!
 //! Thread architecture (all plain threads; an op runs entirely on the
-//! worker that popped it, since none enters the work-stealing pool:
+//! worker that popped it, since none enters the `rayon` pool:
 //! `Learn` trains serially and `SelectBest` takes the batch's exact lazy
 //! path):
 //!
