@@ -374,23 +374,9 @@ pub struct CutArena {
     node_off: Vec<u32>,
     /// In-place dominance-filter scratch for the node under construction.
     cand: Vec<Cut>,
-    /// Fanin snapshot of the last enumerated graph: `(f0.raw, f1.raw)` per
-    /// AND node, `(u32::MAX, u32::MAX)` for the constant and the inputs.
-    /// Drives the common-prefix check of the incremental path.
-    prev_fanins: Vec<(u32, u32)>,
-    /// Input count of the last enumerated graph.
-    prev_num_inputs: usize,
-    /// Clamped `(k, max_cuts)` of the last enumeration.
-    prev_cfg: (usize, usize),
-    /// Generation stamp per node: which [`CutArena::enumerate`] call last
-    /// (re)computed the node's cut set. Reused prefix nodes keep their old
-    /// stamp.
-    node_gen: Vec<u32>,
-    /// Monotone enumeration counter (the current generation).
-    generation: u32,
-    /// Nodes (constant and inputs included) whose cut sets survived from
-    /// the previous call in the latest enumeration.
-    reused_prefix: usize,
+    /// Clamped `k` of the last enumeration: the leaf bound
+    /// [`CutArena::check_csr`] holds every cut to.
+    k: usize,
 }
 
 impl CutArena {
@@ -400,67 +386,24 @@ impl CutArena {
     }
 
     /// Enumerates up to `cfg.max_cuts` cuts per node (the trivial cut
-    /// included) for every node of the graph. Constants and primary inputs
-    /// carry only their trivial cut. Buffers are reused.
-    ///
-    /// Enumeration is **incremental across calls**: a node's cut set
-    /// depends only on its own fanins, the cut sets of lower-indexed nodes
-    /// and the (clamped) configuration, so when the new graph shares a node
-    /// prefix with the previously enumerated one — the common case when a
-    /// candidate is a delta over the last compiled cone, or across rewrite
-    /// iterations that only touch the top of the graph — the shared
-    /// prefix's cut sets are kept verbatim (validated fanin pair by fanin
-    /// pair against a stored snapshot) and enumeration restarts at the
-    /// first divergence. Results are always identical to a from-scratch
-    /// enumeration; reused nodes keep their [`CutArena::node_generation`]
-    /// stamp.
+    /// included) for every node of the graph, from scratch on every call:
+    /// one ascending scan merges each AND node's fanin cut sets, and
+    /// constants and primary inputs carry only their trivial cut. Nothing
+    /// carries over from the previous call but the buffers' capacity.
     pub fn enumerate(&mut self, aig: &Aig, cfg: &CutConfig) {
         let cfg = cfg.clamped();
         let n_nodes = aig.num_nodes();
-        self.generation = self.generation.wrapping_add(1);
-
-        // Longest common node prefix with the previous enumeration.
-        let mut start = 0usize;
-        if self.prev_num_inputs == aig.num_inputs() && self.prev_cfg == (cfg.k, cfg.max_cuts) {
-            let lim = self.prev_fanins.len().min(n_nodes);
-            while start < lim && self.prev_fanins[start] == fanin_snapshot(aig, start as u32) {
-                start += 1;
-            }
-        }
-        self.reused_prefix = start;
-        if start == 0 {
-            self.leaf_buf.clear();
-            self.tts.clear();
-            self.starts.clear();
-            self.lens.clear();
-            self.node_off.clear();
-            self.node_gen.clear();
-            self.node_off.reserve(n_nodes + 1);
-            self.node_off.push(0);
-        } else {
-            // Truncate the CSR buffers to the reused prefix.
-            let keep_cuts = self.node_off[start] as usize;
-            let keep_leaves = if keep_cuts == self.starts.len() {
-                self.leaf_buf.len()
-            } else {
-                self.starts[keep_cuts] as usize
-            };
-            self.leaf_buf.truncate(keep_leaves);
-            self.tts.truncate(keep_cuts);
-            self.starts.truncate(keep_cuts);
-            self.lens.truncate(keep_cuts);
-            self.node_off.truncate(start + 1);
-            self.node_gen.truncate(start);
-        }
-        self.prev_fanins.truncate(start);
-        self.prev_fanins
-            .extend((start..n_nodes).map(|n| fanin_snapshot(aig, n as u32)));
-        self.prev_num_inputs = aig.num_inputs();
-        self.prev_cfg = (cfg.k, cfg.max_cuts);
-        self.node_gen.resize(n_nodes, self.generation);
+        self.leaf_buf.clear();
+        self.tts.clear();
+        self.starts.clear();
+        self.lens.clear();
+        self.node_off.clear();
+        self.node_off.reserve(n_nodes + 1);
+        self.node_off.push(0);
+        self.k = cfg.k;
 
         let mut cand = std::mem::take(&mut self.cand);
-        for n in start as u32..n_nodes as u32 {
+        for n in 0..n_nodes as u32 {
             if aig.is_and(n) {
                 let (f0, f1) = aig.fanins(n);
                 self.merge_fanin_cuts(f0, f1, &cfg, &mut cand);
@@ -547,28 +490,6 @@ impl CutArena {
         self.node_off.len().saturating_sub(1)
     }
 
-    /// The enumeration generation that last computed node `n`'s cut set
-    /// (nodes reused across calls keep the stamp of the call that actually
-    /// built them).
-    #[inline]
-    pub fn node_generation(&self, n: u32) -> u32 {
-        self.node_gen[n as usize]
-    }
-
-    /// The current enumeration generation (increments per
-    /// [`CutArena::enumerate`] call).
-    #[inline]
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    /// How many leading nodes of the latest [`CutArena::enumerate`] call
-    /// reused the previous call's cut sets (constant and inputs included).
-    #[inline]
-    pub fn reused_prefix(&self) -> usize {
-        self.reused_prefix
-    }
-
     /// Debug-mode verifier for the arena's CSR layout (see the module docs
     /// for the layout itself). Returns the first violation as a message.
     ///
@@ -582,8 +503,7 @@ impl CutArena {
     /// * every cut respects the clamped `k` of the last enumeration, has
     ///   strictly sorted in-range leaves, and its truth table is
     ///   vacuous-extended (no dependence on variables at or above the leaf
-    ///   count);
-    /// * the per-node generation stamps cover exactly the enumerated nodes.
+    ///   count).
     ///
     /// Runs in `O(cuts × k)`. The rewrite pass calls this after enumeration
     /// in debug builds and when `LSML_CHECK=1`.
@@ -597,7 +517,7 @@ impl CutArena {
             ));
         }
         if self.node_off.is_empty() {
-            return if n_cuts == 0 && self.leaf_buf.is_empty() && self.node_gen.is_empty() {
+            return if n_cuts == 0 && self.leaf_buf.is_empty() {
                 Ok(())
             } else {
                 Err("empty CSR index over non-empty cut arrays".to_string())
@@ -611,12 +531,6 @@ impl CutArena {
             return Err(format!(
                 "node_off ends at {} but {n_cuts} cuts are stored",
                 self.node_off.last().unwrap()
-            ));
-        }
-        if self.node_gen.len() != n_nodes {
-            return Err(format!(
-                "{} generation stamps for {n_nodes} nodes",
-                self.node_gen.len()
             ));
         }
         // Leaf slices must tile `leaf_buf` back to back.
@@ -636,11 +550,7 @@ impl CutArena {
                 self.leaf_buf.len()
             ));
         }
-        let k = if self.prev_cfg.0 == 0 {
-            MAX_LEAVES
-        } else {
-            self.prev_cfg.0
-        };
+        let k = self.k;
         for n in 0..n_nodes {
             let range = self.range(n as u32);
             if range.is_empty() {
@@ -691,18 +601,6 @@ impl CutArena {
             }
         }
         Ok(())
-    }
-}
-
-/// The per-node fanin snapshot used by the incremental prefix check: raw
-/// fanin literals for an AND, a sentinel for the constant and the inputs.
-#[inline]
-fn fanin_snapshot(aig: &Aig, n: u32) -> (u32, u32) {
-    if aig.is_and(n) {
-        let (f0, f1) = aig.fanins(n);
-        (f0.raw(), f1.raw())
-    } else {
-        (u32::MAX, u32::MAX)
     }
 }
 
@@ -806,8 +704,9 @@ mod tests {
         }
     }
 
-    /// Re-enumerating a mutated graph on a warm arena must match a cold
-    /// arena cut for cut, while actually reusing the untouched prefix.
+    /// An arena reused across graphs (an extension of the last one, a
+    /// different configuration, an unrelated smaller graph) must match a
+    /// fresh arena cut for cut.
     #[test]
     fn incremental_reenumeration_matches_cold_arena() {
         let mut g = Aig::new(5);
@@ -819,30 +718,24 @@ mod tests {
         let cfg = CutConfig { k: 4, max_cuts: 8 };
         let mut warm = CutArena::new();
         warm.enumerate(&g, &cfg);
-        let gen1 = warm.generation();
-        let prefix_nodes = g.num_nodes();
 
         // Delta: extend the graph (prefix untouched).
         let z = g.and(y, ins[4]);
         let w = g.xor(z, !x);
         g.add_output(w);
         warm.enumerate(&g, &cfg);
-        assert_eq!(warm.reused_prefix(), prefix_nodes);
-        assert!(warm.node_generation(y.node()) == gen1);
-        assert!(warm.node_generation(w.node()) == warm.generation());
         let mut cold = CutArena::new();
         cold.enumerate(&g, &cfg);
         assert_arenas_equal(&warm, &cold, g.num_nodes());
 
-        // A changed config invalidates everything.
+        // A changed config.
         let k6 = CutConfig { k: 6, max_cuts: 8 };
         warm.enumerate(&g, &k6);
-        assert_eq!(warm.reused_prefix(), 0);
         let mut cold6 = CutArena::new();
         cold6.enumerate(&g, &k6);
         assert_arenas_equal(&warm, &cold6, g.num_nodes());
 
-        // Shrinking to an unrelated graph still matches cold enumeration.
+        // Shrinking to an unrelated graph.
         let mut h = Aig::new(5);
         let hins = h.inputs();
         let ho = h.or(hins[1], hins[3]);

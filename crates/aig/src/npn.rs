@@ -17,9 +17,10 @@
 //! [`crate::rewrite`]) never brute-forces:
 //!
 //! * **support ≤ 4** — the semi-canonical form *is* the exact canonical
-//!   form: the 16-bit projection goes through the memoized 768-transform
-//!   canonizer (one map probe after the first encounter of a table) and the
-//!   222 shared 4-input class structures are reused directly;
+//!   form: the 16-bit projection goes straight through the 768-transform
+//!   [`canonize`] (not memoized: the rewrite pass's per-thread table cache
+//!   answers almost every repeated cut function before it gets here) and
+//!   the 222 shared 4-input class structures are reused directly;
 //! * **support 5–6** — [`semi_canonize`] computes a greedy, ABC-style
 //!   phase/permutation normal form in a few dozen bitwise word operations:
 //!   output phase by onset count, input phases by cofactor-count skew,
@@ -34,8 +35,8 @@
 //!   and every later lookup of that key is a single map probe.
 //!
 //! The structure library is keyed by the semi-canonical form; exact
-//! canonization results and class structures are memoized process-wide
-//! behind [`NpnLibrary::global`], in never-evicting
+//! 6-variable canonization results and class structures are memoized
+//! process-wide behind [`NpnLibrary::global`], in never-evicting
 //! [`crate::lru::ShardedLru`] maps (model-checked in `tests/loom_lru.rs`).
 
 use loom::sync::{Arc, OnceLock};
@@ -592,37 +593,6 @@ fn shannon(g: &mut Aig, tt: u64, srcs: &[Lit; 6], order: &[u8; 6], k: usize) -> 
 // Library entries.
 // ---------------------------------------------------------------------------
 
-/// One 4-variable library lookup: the canonization of a cut function plus
-/// the shared structure implementing its class representative.
-#[derive(Clone)]
-pub struct LibEntry {
-    /// The canonization of the looked-up table.
-    pub class: NpnClass,
-    /// A 4-input, 1-output AIG computing `class.canon`.
-    pub structure: Arc<Aig>,
-}
-
-impl LibEntry {
-    /// Maps cut-leaf literals onto the structure's four inputs: canonical
-    /// input `perm[i]` is fed `leaf_lits[i] ^ input_neg[i]`. Unused
-    /// canonical inputs receive whatever placeholder sits in `leaf_lits`
-    /// (the structure provably does not read them).
-    pub fn input_map(&self, leaf_lits: &[Lit; 4]) -> [Lit; 4] {
-        let t = &self.class.transform;
-        let mut m = [Lit::FALSE; 4];
-        for i in 0..4 {
-            m[t.perm[i] as usize] = leaf_lits[i].complement_if((t.input_neg >> i) & 1 == 1);
-        }
-        m
-    }
-
-    /// Whether the structure's output must be complemented to recover the
-    /// original function.
-    pub fn output_complement(&self) -> bool {
-        self.class.transform.output_neg
-    }
-}
-
 /// One ≤6-variable library lookup: `structure` computes some representative
 /// table `R`, and `apply6(tt, transform) == R` for the looked-up `tt` — so
 /// instantiating the structure over [`LibEntry6::input_map`] and
@@ -669,8 +639,6 @@ impl LibEntry6 {
 /// probe.
 #[derive(Default)]
 pub struct NpnLibrary {
-    /// 16-bit exact canonization memo.
-    canon_memo: ShardedLru<u16, NpnClass>,
     /// 4-variable class structures, keyed by class representative.
     structures: ShardedLru<u16, Arc<Aig>>,
     /// The hot-path map: semi-canonical key → (key-to-representative
@@ -698,21 +666,9 @@ impl NpnLibrary {
         LIB.get_or_init(NpnLibrary::default)
     }
 
-    /// Number of distinct 4-variable NPN classes materialized so far.
-    pub fn num_classes(&self) -> usize {
-        self.structures.stats().entries
-    }
-
     /// Number of semi-canonical keys with a cached entry.
     pub fn num_semi_entries(&self) -> usize {
         self.semi_entries.stats().entries
-    }
-
-    /// Memoized exact 16-bit canonization.
-    fn canon4(&self, tt: u16) -> NpnClass {
-        self.canon_memo
-            .get(&tt)
-            .unwrap_or_else(|| publish(&self.canon_memo, tt, canonize(tt)))
     }
 
     /// The shared 4-variable class structure for representative `canon`.
@@ -723,23 +679,15 @@ impl NpnLibrary {
         })
     }
 
-    /// Canonizes `tt` (memoized) and returns the 4-variable class structure
-    /// (synthesized on first encounter of the class). Stripe locks are held
-    /// only for the map probe/insert — canonization and synthesis run
-    /// unlocked, so concurrent rewriting passes never serialize behind a
-    /// 48-attempt synthesis (a racing thread may compute a duplicate, which
-    /// is discarded; results are deterministic either way).
-    pub fn entry(&self, tt: u16) -> LibEntry {
-        let class = self.canon4(tt);
-        let structure = self.structure4(class.canon);
-        LibEntry { class, structure }
-    }
-
     /// The hot-path lookup for a ≤6-variable cut function: semi-canonize,
     /// probe the key-indexed map, and only on a miss fall back to the exact
     /// canonizer + synthesis (see the module docs for the full contract).
-    /// Callers in a hot loop should additionally keep a pass-local cache
-    /// keyed by raw table to avoid repeated lock traffic.
+    /// Stripe locks are held only for the map probe/insert — canonization
+    /// and synthesis run unlocked, so concurrent rewriting passes never
+    /// serialize behind a synthesis (a racing thread may compute a
+    /// duplicate, which is discarded; results are deterministic either
+    /// way). Callers in a hot loop should additionally keep a pass-local
+    /// cache keyed by raw table to avoid repeated lock traffic.
     pub fn entry6(&self, tt: u64) -> LibEntry6 {
         let semi = semi_canonize(tt);
         let (to_rep, structure) = self.semi_entries.get(&semi.key).unwrap_or_else(|| {
@@ -917,8 +865,15 @@ mod tests {
         let lib = NpnLibrary::global();
         for _ in 0..40 {
             let tt: u16 = rng.gen();
-            let entry = lib.entry(tt);
-            assert_eq!(aig_tt(&entry.structure), entry.class.canon, "tt {tt:04x}");
+            let wide = broadcast16(tt);
+            let entry = lib.entry6(wide);
+            // Narrow tables share the 4-input class structures.
+            assert_eq!(entry.structure.num_inputs(), 4, "tt {tt:04x}");
+            assert_eq!(
+                aig_tt6(&entry.structure),
+                apply6(wide, &entry.transform),
+                "tt {tt:04x}"
+            );
         }
     }
 
@@ -930,11 +885,14 @@ mod tests {
         let lib = NpnLibrary::global();
         for _ in 0..40 {
             let tt: u16 = rng.gen();
-            let entry = lib.entry(tt);
+            let entry = lib.entry6(broadcast16(tt));
             let mut host = Aig::new(4);
-            let leaves = [host.input(0), host.input(1), host.input(2), host.input(3)];
+            let mut leaves = [Lit::FALSE; 6];
+            for (i, l) in leaves.iter_mut().enumerate().take(4) {
+                *l = host.input(i);
+            }
             let imap = entry.input_map(&leaves);
-            let outs = host.append(&entry.structure, &imap);
+            let outs = host.append(&entry.structure, &imap[..4]);
             host.add_output(outs[0].complement_if(entry.output_complement()));
             assert_eq!(aig_tt(&host), tt, "tt {tt:04x}");
         }
@@ -988,11 +946,10 @@ mod tests {
         let xor2 = 0xAAAAu16 ^ 0xCCCC;
         let mux = (0xF0F0 & 0xAAAA) | (!0xF0F0 & 0xCCCCu16);
         for (tt, max) in [(and2, 1), (xor2, 3), (mux, 3), (0x6996u16, 9)] {
-            let e = lib.entry(tt);
+            let e = lib.entry6(broadcast16(tt));
             assert!(
                 e.structure.num_ands() <= max,
-                "class {:04x} uses {} ANDs (max {max})",
-                e.class.canon,
+                "table {tt:04x} uses {} ANDs (max {max})",
                 e.structure.num_ands()
             );
         }
@@ -1012,12 +969,11 @@ mod tests {
     #[test]
     fn constant_and_degenerate_tables() {
         let lib = NpnLibrary::global();
-        assert_eq!(lib.entry(0x0000).structure.num_ands(), 0);
-        assert_eq!(lib.entry(0xFFFF).structure.num_ands(), 0);
-        assert_eq!(lib.entry(0xAAAA).structure.num_ands(), 0); // f = x0
-        assert_eq!(lib.entry(!0xAAAAu16).structure.num_ands(), 0); // f = !x0
-        assert_eq!(lib.entry6(0).structure.num_ands(), 0);
-        assert_eq!(lib.entry6(u64::MAX).structure.num_ands(), 0);
+        // f = 0, f = 1, f = x0 and f = !x0.
+        for tt in [0x0000u16, 0xFFFF, 0xAAAA, !0xAAAA] {
+            let e = lib.entry6(broadcast16(tt));
+            assert_eq!(e.structure.num_ands(), 0, "tt {tt:04x}");
+        }
         assert_eq!(lib.entry6(VAR_TT[5]).structure.num_ands(), 0); // f = x5
     }
 

@@ -556,16 +556,6 @@ fn collect_conjunction(aig: &Aig, root: Lit, leaves: &mut Vec<Lit>) {
     collect_conjunction(aig, f1, leaves);
 }
 
-/// Balance + cleanup until the size stops improving (at most `rounds`
-/// iterations). A cheap stand-in for ABC's `compress2rs`; for the full
-/// DAG-aware script use [`Pipeline::resyn`].
-pub fn compress(aig: &Aig, rounds: usize) -> Aig {
-    Pipeline::new()
-        .then(BalancePass)
-        .then(CleanupPass)
-        .run_fixpoint(aig, rounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,6 +628,8 @@ mod tests {
         assert_eq!(b.levels, b.fresh.levels());
     }
 
+    /// A cheap compress-style script, `balance | cleanup`, run to its
+    /// fixpoint never grows the graph and stays exact.
     #[test]
     fn compress_never_grows() {
         let mut g = Aig::new(10);
@@ -650,7 +642,10 @@ mod tests {
         let f = g.or(acc, p);
         g.add_output(f);
         let before = g.num_ands();
-        let h = compress(&g, 3);
+        let h = Pipeline::new()
+            .then(BalancePass)
+            .then(CleanupPass)
+            .run_fixpoint(&g, 3);
         assert!(h.num_ands() <= before);
         equivalent_exhaustive(&g, &h);
     }

@@ -6,7 +6,7 @@
 //! |------|---------|--------|
 //! | `LSML_NUM_THREADS` | `available_parallelism()` | Worker count of the process-wide pool (vendored `rayon`). `1` disables the pool: every operation runs strictly inline on the caller. |
 //! | `LSML_FORCE_SCALAR` | unset | Forces the scalar fallback kernels in `lsml-pla` (`kernels` module), bypassing the SIMD dispatch. |
-//! | `LSML_CHECK` | unset | `1` enables the expensive debug verifiers in release builds: AIG invariant sweeps between pipeline passes (`crate::opt`) and CSR audits after cut enumeration (`crate::cut`). |
+//! | `LSML_CHECK` | unset | `1` enables the expensive debug verifiers in release builds: AIG invariant sweeps between pipeline passes (`crate::opt`) and the cut arena's CSR audit after each enumeration in the rewrite pass (`crate::rewrite`). |
 //! | `LSML_COMPILE_CACHE_BYTES` | 256 MiB | Byte budget of the process-wide sharded compile cache (`lsml-core`, `compile` module), read once by [`crate::lru::env_budget`]: a positive byte count, whitespace trimmed; `0` or an unparsable value falls back to the default. |
 //! | `LSML_FIXPOINT_CACHE_BYTES` | 8 MiB | Byte budget of the sharded pipeline fixpoint cache ([`crate::opt`]), read once by [`crate::lru::env_budget`] like the compile cache's; never below 16 entries (1 KiB). |
 //! | `LSML_LOOM_REPLAY` | unset | In `--cfg lsml_loom` builds: replays a single recorded interleaving (the failure trace printed by the `loom` runtime) instead of exploring. |

@@ -9,13 +9,14 @@
 //!    words `n*T .. (n+1)*T`), and each AND node's block is a single
 //!    [`lsml_pla::kernels::fanin_and_into`] call over its fanins' blocks —
 //!    64-word-style batched bitwise work instead of a per-round push onto
-//!    per-node `Vec`s. Stimulus is random by default; [`sweep_with_columns`]
-//!    prepends the application's own [`BitColumns`] words as *additional
-//!    discriminators*: nodes that random patterns cannot tell apart but the
-//!    real data does are split into separate classes early, so fewer
-//!    candidate pairs reach the expensive verification step. (Signatures
-//!    only ever *filter* candidates — merging itself is always decided by
-//!    the exhaustive check below, never by on-distribution agreement.)
+//!    per-node `Vec`s. Stimulus is random by default;
+//!    [`SweepConfig::stimulus`] prepends the application's own
+//!    [`BitColumns`] words as *additional discriminators*: nodes that
+//!    random patterns cannot tell apart but the real data does are split
+//!    into separate classes early, so fewer candidate pairs reach the
+//!    expensive verification step. (Signatures only ever *filter*
+//!    candidates — merging itself is always decided by the exhaustive check
+//!    below, never by on-distribution agreement.)
 //! 2. **Candidate classes** — nodes bucket by a 64-bit hash of their
 //!    complement-canonical signature (so `f` and `!f` share a class); a
 //!    hash collision merely wastes a verification attempt, never merges.
@@ -27,7 +28,6 @@
 //!
 //! The result never has more AND nodes than the (cleaned-up) input.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use lsml_pla::{kernels, BitColumns};
@@ -37,42 +37,6 @@ use rand::{Rng, SeedableRng};
 use crate::aig::Aig;
 use crate::fxhash::{fnv1a_mix, FxHashMap, FNV_OFFSET};
 use crate::lit::Lit;
-
-/// Thread-local signature memo: the previous sweep's cleaned-graph fanin
-/// snapshot and its full signature buffer. When the next sweep sees the
-/// same input region (identical stimulus + seeded random words) and a
-/// common node prefix, the prefix's AND signature blocks are copied instead
-/// of re-simulated — node `n`'s block depends only on lower-indexed blocks
-/// and `n`'s fanins, so the copy is bitwise identical to recomputation.
-struct SigCache {
-    /// `(f0.raw, f1.raw)` per AND node, sentinel for constant/inputs.
-    fanins: Vec<(u32, u32)>,
-    num_inputs: usize,
-    /// Words per node in `sig`.
-    t: usize,
-    sig: Vec<u64>,
-}
-
-thread_local! {
-    static SIG_CACHE: RefCell<SigCache> = const {
-        RefCell::new(SigCache {
-            fanins: Vec::new(),
-            num_inputs: 0,
-            t: 0,
-            sig: Vec::new(),
-        })
-    };
-}
-
-#[inline]
-fn fanin_snapshot(g: &Aig, n: u32) -> (u32, u32) {
-    if g.is_and(n) {
-        let (f0, f1) = g.fanins(n);
-        (f0.raw(), f1.raw())
-    } else {
-        (u32::MAX, u32::MAX)
-    }
-}
 
 /// Configuration for [`sweep`].
 #[derive(Clone, Debug, Default)]
@@ -165,25 +129,7 @@ pub fn sweep(aig: &Aig, cfg: &SweepConfig) -> Aig {
             *w = rng.gen();
         }
     }
-    // Reuse the previous sweep's AND blocks for the longest common node
-    // prefix (input region and fanins validated above each reused block).
-    let first_new = SIG_CACHE.with(|c| {
-        let cache = c.borrow();
-        let mut first = ni + 1;
-        if cache.t == t
-            && cache.num_inputs == ni
-            && cache.sig.len() >= (ni + 1) * t
-            && cache.sig[..(ni + 1) * t] == sig[..(ni + 1) * t]
-        {
-            let lim = cache.fanins.len().min(n_nodes);
-            while first < lim && cache.fanins[first] == fanin_snapshot(&g, first as u32) {
-                first += 1;
-            }
-            sig[(ni + 1) * t..first * t].copy_from_slice(&cache.sig[(ni + 1) * t..first * t]);
-        }
-        first
-    });
-    for n in first_new..n_nodes {
+    for n in ni + 1..n_nodes {
         let (f0, f1) = g.fanins(n as u32);
         let (head, rest) = sig.split_at_mut(n * t);
         let a = &head[f0.node() as usize * t..f0.node() as usize * t + t];
@@ -196,19 +142,6 @@ pub fn sweep(aig: &Aig, cfg: &SweepConfig) -> Aig {
             &mut rest[..t],
         );
     }
-    SIG_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        cache.fanins.truncate(first_new);
-        for n in cache.fanins.len()..n_nodes {
-            let snap = fanin_snapshot(&g, n as u32);
-            cache.fanins.push(snap);
-        }
-        cache.fanins.truncate(n_nodes);
-        cache.num_inputs = ni;
-        cache.t = t;
-        cache.sig.clear();
-        cache.sig.extend_from_slice(&sig);
-    });
 
     // --- candidate classes + verified merging ---------------------------
     // FNV-1a over the masked complement-canonical words per node.
@@ -289,16 +222,6 @@ pub fn sweep(aig: &Aig, cfg: &SweepConfig) -> Aig {
     } else {
         g
     }
-}
-
-/// Convenience wrapper: sweep with the application's bit columns prepended
-/// to the signature stimulus.
-pub fn sweep_with_columns(aig: &Aig, cols: Arc<BitColumns>, cfg: &SweepConfig) -> Aig {
-    let cfg = SweepConfig {
-        stimulus: Some(cols),
-        ..cfg.clone()
-    };
-    sweep(aig, &cfg)
 }
 
 /// Word `k` of the exhaustive enumeration of support variable `j`: patterns
@@ -539,41 +462,13 @@ mod tests {
         for _ in 0..100 {
             ds.push(Pattern::random(&mut rng, 4), rng.gen());
         }
-        let h = sweep_with_columns(&g, ds.bit_columns(), &SweepConfig::default());
+        let cfg = SweepConfig {
+            stimulus: Some(ds.bit_columns()),
+            ..SweepConfig::default()
+        };
+        let h = sweep(&g, &cfg);
         equivalent_exhaustive(&g, &h);
         assert!(h.num_ands() <= g.num_ands());
-    }
-
-    /// A warm signature cache (previous sweep of a related graph) must not
-    /// change results: compare against a cold sweep in a fresh thread.
-    #[test]
-    fn warm_signature_cache_matches_cold_sweep() {
-        let build = |extra: bool| {
-            let mut g = Aig::new(4);
-            let ins = g.inputs();
-            let x = g.xor(ins[0], ins[1]);
-            let y = g.mux(ins[2], x, ins[3]);
-            let mut f = g.or(y, !x);
-            if extra {
-                let z = g.and(f, ins[3]);
-                f = g.xor(z, ins[0]);
-            }
-            g.add_output(f);
-            g
-        };
-        let cfg = SweepConfig::default();
-        // Warm the thread-local cache on the base graph, then sweep the
-        // delta graph on the same thread.
-        let _ = sweep(&build(false), &cfg);
-        let warm = sweep(&build(true), &cfg);
-        let cold = std::thread::spawn({
-            let cfg = cfg.clone();
-            move || sweep(&build(true), &cfg)
-        })
-        .join()
-        .unwrap();
-        assert_eq!(warm.structural_fingerprint(), cold.structural_fingerprint());
-        equivalent_exhaustive(&build(true), &warm);
     }
 
     #[test]

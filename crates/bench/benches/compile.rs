@@ -81,10 +81,12 @@ fn main() {
         fixpoint_cache_clear();
         let mut scratch_round_ms = Vec::with_capacity(rounds);
         let mut scratch_best: Option<(f64, usize, LearnedCircuit)> = None;
+        let mut offered_ands = 0usize;
         let t_scratch = Instant::now();
         for t in 1..=rounds {
             let t0 = Instant::now();
             let aig = gb.to_aig_rounds(t);
+            offered_ands += aig.num_ands();
             let c = LearnedCircuit::compile(aig, format!("xgb-r{t}"), &budget);
             let acc = c.accuracy(&data.valid);
             scratch_round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -118,7 +120,9 @@ fn main() {
         }
         let winner = batch.compile(best);
         let batched_ms = t_batched.elapsed().as_secs_f64() * 1e3;
-        let reuse = batch.reuse_stats();
+        // Shared-strash reuse: AND gates the shared graph holds per gate the
+        // from-scratch side built (1.0 = no sharing across prefixes).
+        let reuse_ratio = batch.shared().num_ands() as f64 / offered_ands.max(1) as f64;
 
         // Equivalence guards: the batch must pick the same round and produce
         // the bit-identical circuit the from-scratch sweep produced.
@@ -150,7 +154,7 @@ fn main() {
             best_round: scratch_round,
             best_ands: winner.and_gates(),
             best_accuracy: scratch_acc,
-            reuse_ratio: reuse.reuse_ratio(),
+            reuse_ratio,
             per_round: (1..=rounds)
                 .map(|t| RoundTiming {
                     round: t,

@@ -121,7 +121,7 @@ impl SizeBudget {
 
     /// A stable fingerprint of every compilation-relevant knob, combined
     /// with the pipeline configuration (which covers the sweep stimulus of
-    /// [`LearnedCircuit::compile_with_columns`]).
+    /// [`CompileBatch::with_sweep_columns`]).
     fn fingerprint(&self, pipeline: &Pipeline) -> u64 {
         let mut h = lsml_aig::fxhash::FNV_OFFSET;
         let mut feed = |v: u64| h = lsml_aig::fxhash::fnv1a_mix(h, v);
@@ -328,26 +328,6 @@ impl LearnedCircuit {
         };
         (circuit, verdict)
     }
-
-    /// [`LearnedCircuit::compile`] with the problem's training columns
-    /// prepended to the sweep's signature stimulus: the application data
-    /// acts as an extra discriminator that separates candidate classes
-    /// random patterns alone cannot split, cutting down the pairs sent to
-    /// exhaustive verification. Merging is still decided only by that
-    /// exhaustive check, so semantics are preserved exactly.
-    pub fn compile_with_columns(
-        aig: Aig,
-        method: impl Into<String>,
-        budget: &SizeBudget,
-        problem: &Problem,
-    ) -> LearnedCircuit {
-        let sweep_cfg = SweepConfig {
-            seed: budget.seed,
-            stimulus: Some(problem.train.bit_columns()),
-            ..SweepConfig::default()
-        };
-        compile_through(Pipeline::resyn_with_sweep(sweep_cfg), aig, method, budget)
-    }
 }
 
 /// The shared compile tail: canonicalize, probe the cache, else run the
@@ -438,31 +418,6 @@ struct BatchCandidate {
     compiled: Option<LearnedCircuit>,
 }
 
-/// Shared-logic volume accounting for one [`CompileBatch`]: how many AND
-/// gates candidates *offered* (the sum of their standalone cone sizes —
-/// what per-candidate building would have constructed) versus how many the
-/// shared strashed graph actually *holds*. `shared / offered < 1` measures
-/// structural reuse across the batch.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchReuseStats {
-    /// Sum of the candidates' standalone AND counts.
-    pub offered_ands: usize,
-    /// AND nodes resident in the shared graph.
-    pub shared_ands: usize,
-}
-
-impl BatchReuseStats {
-    /// `shared / offered`: 1.0 means no cross-candidate sharing, 0.1 means
-    /// the batch stored one gate for every ten offered.
-    pub fn reuse_ratio(&self) -> f64 {
-        if self.offered_ands == 0 {
-            1.0
-        } else {
-            self.shared_ands as f64 / self.offered_ands as f64
-        }
-    }
-}
-
 /// The batched compile entry point: every candidate of a portfolio or
 /// boosting run builds into **one shared strashed graph**, candidates are
 /// output cones of it, and compilation/scoring exploit the sharing.
@@ -477,9 +432,6 @@ impl BatchReuseStats {
 ///    candidate's cone back out in creation-order canonical form, so the
 ///    optimization pipeline sees exactly the graph the standalone path
 ///    would have produced, and both paths share compile-cache entries.
-///    Downstream, the incremental cut arenas and sweep signature caches in
-///    `lsml-aig` turn the resulting near-identical pipeline runs into
-///    prefix-reuse hits.
 /// 3. *Shared scoring* — [`CompileBatch::accuracies`] simulates the shared
 ///    graph **once** per stimulus word and reads every candidate's
 ///    prediction column out of the same node-value table, so scoring 125
@@ -525,7 +477,6 @@ impl BatchReuseStats {
 /// let best = (0..ids.len()).max_by(|&a, &b| accs[a].total_cmp(&accs[b])).unwrap();
 /// let circuit = batch.compile(ids[best]);
 /// assert!(circuit.and_gates() <= 5000);
-/// assert!(batch.reuse_stats().reuse_ratio() <= 1.0);
 /// ```
 pub struct CompileBatch {
     shared: Aig,
@@ -533,7 +484,6 @@ pub struct CompileBatch {
     sweep_columns: Option<Arc<BitColumns>>,
     k6: bool,
     cands: Vec<BatchCandidate>,
-    offered_ands: usize,
 }
 
 impl CompileBatch {
@@ -546,13 +496,15 @@ impl CompileBatch {
             sweep_columns: None,
             k6: false,
             cands: Vec::new(),
-            offered_ands: 0,
         }
     }
 
-    /// Feeds `columns` into the sweep's signature stimulus, exactly like
-    /// [`LearnedCircuit::compile_with_columns`] does for the per-candidate
-    /// path.
+    /// Prepends `columns` (typically the training set's) to the sweep's
+    /// signature stimulus: the application data acts as an extra
+    /// discriminator that separates candidate classes random patterns alone
+    /// cannot split, cutting down the pairs sent to exhaustive
+    /// verification. Merging is still decided only by that exhaustive
+    /// check, so semantics are preserved exactly.
     pub fn with_sweep_columns(mut self, columns: Arc<BitColumns>) -> CompileBatch {
         self.sweep_columns = Some(columns);
         self
@@ -578,7 +530,6 @@ impl CompileBatch {
     /// Declares the cone rooted at `output` (a literal of the shared graph)
     /// as a candidate; returns its id.
     pub fn add_cone(&mut self, output: Lit, method: impl Into<String>) -> usize {
-        self.offered_ands += self.shared.extract_cone(&[output]).num_ands();
         self.push_candidate(vec![output], method)
     }
 
@@ -593,7 +544,6 @@ impl CompileBatch {
         );
         let inputs = self.shared.inputs();
         let outputs = self.shared.append(aig, &inputs);
-        self.offered_ands += aig.num_ands();
         self.push_candidate(outputs, method)
     }
 
@@ -614,14 +564,6 @@ impl CompileBatch {
     /// Whether the batch has no candidates.
     pub fn is_empty(&self) -> bool {
         self.cands.is_empty()
-    }
-
-    /// Shared-logic reuse accounting (see [`BatchReuseStats`]).
-    pub fn reuse_stats(&self) -> BatchReuseStats {
-        BatchReuseStats {
-            offered_ands: self.offered_ands,
-            shared_ands: self.shared.num_ands(),
-        }
     }
 
     /// The candidate's standalone graph, carved out of the shared graph in
@@ -872,8 +814,10 @@ mod tests {
         assert_eq!(c.method, "thresh");
     }
 
+    /// The training-column sweep stimulus (Team 1's and serve's batches)
+    /// only filters merge candidates; the compiled circuit stays exact.
     #[test]
-    fn compile_with_columns_preserves_semantics() {
+    fn batch_with_sweep_columns_preserves_semantics() {
         use lsml_pla::Pattern;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -887,7 +831,10 @@ mod tests {
         }
         let problem = Problem::new(train, valid, 5);
         let budget = SizeBudget::for_problem(&problem);
-        let c = LearnedCircuit::compile_with_columns(g.clone(), "parity", &budget, &problem);
+        let mut batch =
+            CompileBatch::new(8, &budget).with_sweep_columns(problem.train.bit_columns());
+        let id = batch.add_aig(&g, "parity");
+        let c = batch.compile(id);
         for m in 0..256u64 {
             let bits: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
             assert_eq!(c.aig.eval(&bits), g.eval(&bits));
