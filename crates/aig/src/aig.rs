@@ -239,15 +239,6 @@ impl Aig {
         &self.outputs
     }
 
-    /// Replaces output `i` with a new literal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_output(&mut self, i: usize, lit: Lit) {
-        self.outputs[i] = lit;
-    }
-
     /// Removes all outputs (logic stays; call [`Aig::cleanup`] to drop it).
     pub fn clear_outputs(&mut self) {
         self.outputs.clear();

@@ -21,52 +21,39 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::aig::Aig;
-use crate::opt::Pipeline;
+use crate::opt::{Pipeline, FIXPOINT_ROUNDS};
 use crate::sim::{pattern_one_counts, random_one_counts};
+
+/// 64-pattern simulation rounds per dropping round when no stimulus is set:
+/// "thousands of random input patterns", 4096 of them.
+const SIM_ROUNDS: usize = 64;
+/// Nodes whose level is within this many levels of the output's are
+/// excluded from replacement, to avoid collapsing to a constant.
+const LEVEL_GUARD: u32 = 4;
+/// Upper bound on the number of nodes replaced per simulation round.
+const BATCH: usize = 64;
 
 /// Configuration for [`reduce`].
 #[derive(Clone, Debug)]
 pub struct ApproxConfig {
     /// Stop once `num_ands()` is at or below this limit.
     pub node_limit: usize,
-    /// Number of 64-pattern simulation rounds per iteration ("thousands of
-    /// random input patterns" — the default is 64 rounds = 4096 patterns).
-    /// Ignored when `stimulus` is set.
-    pub sim_rounds: usize,
     /// Application stimulus: when set, node activity statistics come from
     /// these patterns instead of uniform random ones. Essential on
     /// benchmarks whose inputs are *not* uniform (the ML categories) — the
     /// nodes that look constant under random stimulus are exactly the ones
     /// doing the work on-distribution.
     pub stimulus: Option<Vec<Pattern>>,
-    /// Nodes whose level is within `level_guard` of the output's level are
-    /// excluded from replacement, to avoid collapsing to a constant.
-    pub level_guard: u32,
     /// RNG seed for the random stimulus.
     pub seed: u64,
-    /// Upper bound on the number of nodes replaced per simulation round.
-    pub batch: usize,
-    /// Fixpoint rounds of the exact pipeline run before node-dropping and
-    /// after each dropping round (`0` disables the exact passes and
-    /// recovers the raw Team-1 dropping loop). The initial run consults the
-    /// process-wide fixpoint cache (see [`crate::opt`]): an input AIG that
-    /// was already driven to this pipeline's fixpoint — the compile path in
-    /// `lsml-core`, for example, always hands over converged graphs — is
-    /// recognized by structural fingerprint and skipped automatically, so
-    /// callers no longer thread a "skip the prelude" flag by hand.
-    pub pipeline_rounds: usize,
 }
 
 impl Default for ApproxConfig {
     fn default() -> Self {
         ApproxConfig {
             node_limit: 5000,
-            sim_rounds: 64,
             stimulus: None,
-            level_guard: 4,
             seed: 0,
-            batch: 64,
-            pipeline_rounds: 2,
         }
     }
 }
@@ -101,19 +88,17 @@ pub fn reduce_traced(aig: &Aig, cfg: &ApproxConfig) -> (Aig, bool) {
 pub fn reduce_traced_with(aig: &Aig, cfg: &ApproxConfig, pipeline: &Pipeline) -> (Aig, bool) {
     let mut current = aig.clone();
     current.cleanup();
-    if cfg.pipeline_rounds > 0 {
-        // A no-op hash probe when the caller already ran this pipeline to a
-        // fixpoint on this graph — the fixpoint cache replaces the old
-        // manually threaded `skip_initial_pipeline` flag.
-        current = pipeline.run_fixpoint(&current, cfg.pipeline_rounds);
-    }
+    // A no-op hash probe when the caller already ran this pipeline to a
+    // fixpoint on this graph: the fixpoint cache (see [`crate::opt`])
+    // recognizes the converged input by structural fingerprint.
+    current = pipeline.run_fixpoint(&current, FIXPOINT_ROUNDS);
     let mut dropped = false;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut guard = cfg.level_guard;
+    let mut guard = LEVEL_GUARD;
     while current.num_ands() > cfg.node_limit {
         let (counts, total) = match &cfg.stimulus {
             Some(patterns) if !patterns.is_empty() => pattern_one_counts(&current, patterns),
-            _ => random_one_counts(&current, cfg.sim_rounds.max(1), &mut rng),
+            _ => random_one_counts(&current, SIM_ROUNDS, &mut rng),
         };
         let levels = current.levels();
         let depth = current.depth();
@@ -141,10 +126,7 @@ pub fn reduce_traced_with(aig: &Aig, cfg: &ApproxConfig, pipeline: &Pipeline) ->
         candidates.sort_unstable();
 
         let excess = current.num_ands() - cfg.node_limit;
-        let mut take = candidates
-            .len()
-            .min(cfg.batch.max(1))
-            .min((excess / 20).max(1));
+        let mut take = candidates.len().min(BATCH).min((excess / 20).max(1));
         // Replace the `take` most constant-biased nodes — but a replacement
         // that collapses the output to a constant defeats the purpose ("to
         // avoid the result being constant 0 or 1"), so shrink the batch and,
@@ -181,9 +163,7 @@ pub fn reduce_traced_with(aig: &Aig, cfg: &ApproxConfig, pipeline: &Pipeline) ->
         }
         let mut next = next.expect("loop sets next");
         // Reclaim exact gates the constants exposed before dropping more.
-        if cfg.pipeline_rounds > 0 {
-            next = pipeline.run_fixpoint(&next, 1);
-        }
+        next = pipeline.run_fixpoint(&next, 1);
         // substitute_constants + cleanup must make progress; if constant
         // propagation somehow removed nothing, force progress by giving up.
         if next.num_ands() >= current.num_ands() {
@@ -293,21 +273,6 @@ mod tests {
             let bits: Vec<bool> = (0..12).map(|i| (m >> i) & 1 == 1).collect();
             assert_eq!(g.eval(&bits), small.eval(&bits), "accuracy was sacrificed");
         }
-        // The raw dropping loop (pipeline disabled) cannot do that.
-        let raw_cfg = ApproxConfig {
-            pipeline_rounds: 0,
-            ..cfg
-        };
-        let dropped = reduce(&g, &raw_cfg);
-        let mut mismatch = false;
-        for m in (0..(1u64 << 12)).step_by(7) {
-            let bits: Vec<bool> = (0..12).map(|i| (m >> i) & 1 == 1).collect();
-            if g.eval(&bits) != dropped.eval(&bits) {
-                mismatch = true;
-                break;
-            }
-        }
-        assert!(mismatch, "node-dropping alone should have cost accuracy");
     }
 
     #[test]

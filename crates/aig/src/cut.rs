@@ -480,11 +480,6 @@ impl CutArena {
         self.range(n).map(move |c| self.view(c))
     }
 
-    /// Total number of cuts stored.
-    pub fn num_cuts(&self) -> usize {
-        self.tts.len()
-    }
-
     /// Number of nodes enumerated.
     pub fn num_nodes(&self) -> usize {
         self.node_off.len().saturating_sub(1)

@@ -35,12 +35,6 @@ impl Lit {
         Lit(node << 1 | u32::from(complemented))
     }
 
-    /// Creates a literal from its packed AIGER encoding.
-    #[inline]
-    pub fn from_raw(raw: u32) -> Self {
-        Lit(raw)
-    }
-
     /// The packed AIGER encoding (`2 * node + complemented`).
     #[inline]
     pub fn raw(self) -> u32 {

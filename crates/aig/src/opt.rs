@@ -147,7 +147,6 @@ impl Pass for RewritePass {
     fn fingerprint(&self) -> u64 {
         let mut h = fnv1a(self.name().as_bytes());
         h = fnv1a_mix(h, u64::from(self.0.zero_gain));
-        h = fnv1a_mix(h, self.0.max_cuts as u64);
         fnv1a_mix(h, self.0.cut_size as u64)
     }
 }
@@ -157,7 +156,7 @@ impl Pass for RewritePass {
 pub struct SweepPass(pub SweepConfig);
 
 impl SweepPass {
-    /// A sweep with the given signature seed and default limits.
+    /// A sweep with the given signature seed and no application stimulus.
     pub fn seeded(seed: u64) -> SweepPass {
         SweepPass(SweepConfig {
             seed,
@@ -175,16 +174,7 @@ impl Pass for SweepPass {
     }
     fn fingerprint(&self) -> u64 {
         let cfg = &self.0;
-        let mut h = fnv1a(self.name().as_bytes());
-        for v in [
-            cfg.rounds as u64,
-            cfg.seed,
-            cfg.max_support as u64,
-            cfg.max_cone as u64,
-            cfg.max_pairs as u64,
-        ] {
-            h = fnv1a_mix(h, v);
-        }
+        let mut h = fnv1a_mix(fnv1a(self.name().as_bytes()), cfg.seed);
         if let Some(cols) = &cfg.stimulus {
             h = fnv1a_mix(h, cols.num_inputs() as u64);
             h = fnv1a_mix(h, cols.num_examples() as u64);
@@ -283,6 +273,10 @@ pub fn fixpoint_cache_import(keys: &[(u128, u64)]) {
         cache.insert(key, (), FIXPOINT_ENTRY_BYTES);
     }
 }
+
+/// Fixpoint rounds of the exact pipeline that compilation and the
+/// approximation prelude run ([`Pipeline::run_fixpoint`]'s `max_rounds`).
+pub const FIXPOINT_ROUNDS: usize = 2;
 
 /// A sequence of passes applied in order.
 #[derive(Default)]

@@ -43,6 +43,9 @@ use crate::fxhash::FxHashMap;
 use crate::lit::Lit;
 use crate::npn::{LibEntry6, NpnLibrary};
 
+/// Cuts kept per node during enumeration.
+const MAX_CUTS: usize = 8;
+
 /// Configuration for [`rewrite`].
 #[derive(Clone, Debug)]
 pub struct RewriteConfig {
@@ -50,8 +53,6 @@ pub struct RewriteConfig {
     /// rewriting reshapes structure so a following pass (balance, sweep, or
     /// another rewrite round) can find new gains — ABC's `rwz`.
     pub zero_gain: bool,
-    /// Cuts kept per node during enumeration.
-    pub max_cuts: usize,
     /// Maximum cut leaves (`2..=6`). `4` is the classic `rewrite -K 4`
     /// sweet spot and the default; `6` finds strictly more reductions at
     /// higher per-pass cost.
@@ -62,7 +63,6 @@ impl Default for RewriteConfig {
     fn default() -> Self {
         RewriteConfig {
             zero_gain: false,
-            max_cuts: 8,
             cut_size: 4,
         }
     }
@@ -189,7 +189,7 @@ pub fn rewrite(aig: &Aig, cfg: &RewriteConfig) -> Aig {
         g,
         &CutConfig {
             k: cfg.cut_size,
-            max_cuts: cfg.max_cuts,
+            max_cuts: MAX_CUTS,
         },
     );
     if cfg!(debug_assertions) || crate::opt::check_enabled() {
@@ -311,7 +311,7 @@ pub fn rewrite_reference(aig: &Aig, cfg: &RewriteConfig) -> Aig {
     }
     let n_nodes = g.num_nodes();
     let first_and = g.num_inputs() + 1;
-    let cuts: Vec<Vec<Cut>> = enumerate_cuts_k(&g, cfg.cut_size, cfg.max_cuts);
+    let cuts: Vec<Vec<Cut>> = enumerate_cuts_k(&g, cfg.cut_size, MAX_CUTS);
 
     let mut refs = vec![0u32; n_nodes];
     for n in first_and..n_nodes {
@@ -685,7 +685,6 @@ mod tests {
                     &RewriteConfig {
                         zero_gain,
                         cut_size,
-                        ..RewriteConfig::default()
                     },
                 );
                 assert!(h.num_ands() <= before);

@@ -22,7 +22,7 @@
 //!    hash collision merely wastes a verification attempt, never merges.
 //! 3. **Verification** — a candidate pair is merged only after *exhaustive*
 //!    equivalence checking over the union support of the two cones, and only
-//!    when that support is small (`max_support`); everything else is left
+//!    when that support is small (at most 12 inputs); everything else is left
 //!    untouched. Merging is therefore exact: the pass preserves semantics
 //!    bit for bit, unlike [`crate::approx`].
 //!
@@ -38,57 +38,25 @@ use crate::aig::Aig;
 use crate::fxhash::{fnv1a_mix, FxHashMap, FNV_OFFSET};
 use crate::lit::Lit;
 
+/// Random 64-pattern simulation rounds feeding the signatures (256 random
+/// patterns).
+const ROUNDS: usize = 4;
+/// Candidate pairs whose union cone support exceeds this are skipped
+/// (exhaustive verification is `2^support` patterns).
+const MAX_SUPPORT: usize = 12;
+/// Candidate pairs whose union cone exceeds this many AND nodes are skipped.
+const MAX_CONE: usize = 400;
+/// Upper bound on verification attempts per pass.
+const MAX_PAIRS: usize = 2048;
+
 /// Configuration for [`sweep`].
 #[derive(Clone, Debug, Default)]
 pub struct SweepConfig {
-    /// Random 64-pattern simulation rounds feeding the signatures (at least
-    /// one round always runs). Default 4 (256 random patterns).
-    pub rounds: usize,
     /// RNG seed for the random stimulus.
     pub seed: u64,
-    /// Candidate pairs whose union cone support exceeds this are skipped
-    /// (exhaustive verification is `2^support` patterns). Default 12, which
-    /// `0` also selects; values above 16 are clamped to 16.
-    pub max_support: usize,
-    /// Candidate pairs whose union cone exceeds this many AND nodes are
-    /// skipped. Default 400.
-    pub max_cone: usize,
-    /// Upper bound on verification attempts per pass. Default 2048.
-    pub max_pairs: usize,
     /// Optional application stimulus: its packed words are prepended to the
     /// random signature words.
     pub stimulus: Option<Arc<BitColumns>>,
-}
-
-impl SweepConfig {
-    pub(crate) fn rounds(&self) -> usize {
-        if self.rounds == 0 {
-            4
-        } else {
-            self.rounds
-        }
-    }
-    fn max_support(&self) -> usize {
-        if self.max_support == 0 {
-            12
-        } else {
-            self.max_support.min(16)
-        }
-    }
-    fn max_cone(&self) -> usize {
-        if self.max_cone == 0 {
-            400
-        } else {
-            self.max_cone
-        }
-    }
-    fn max_pairs(&self) -> usize {
-        if self.max_pairs == 0 {
-            2048
-        } else {
-            self.max_pairs
-        }
-    }
 }
 
 /// One sweeping pass with the configured stimulus. Semantics are preserved
@@ -111,7 +79,7 @@ pub fn sweep(aig: &Aig, cfg: &SweepConfig) -> Aig {
         .as_ref()
         .filter(|c| c.num_examples() > 0 && c.num_inputs() == ni);
     let stim_words = stim.map_or(0, |c| c.words_per_column());
-    let t = stim_words + cfg.rounds();
+    let t = stim_words + ROUNDS;
     let mut masks = vec![u64::MAX; t];
     if let Some(cols) = stim {
         masks[stim_words - 1] = cols.tail_mask();
@@ -177,13 +145,13 @@ pub fn sweep(aig: &Aig, cfg: &SweepConfig) -> Aig {
         let mut merged = false;
         if g.is_and(n) {
             for &r in reps.iter().take(2) {
-                if attempts >= cfg.max_pairs() {
+                if attempts >= MAX_PAIRS {
                     break;
                 }
                 attempts += 1;
                 let r_flip = sig[r as usize * t] & 1 == 1;
                 let inv = flip != r_flip;
-                if verify_pair(&g, r, n, inv, cfg, &mut scratch) {
+                if verify_pair(&g, r, n, inv, &mut scratch) {
                     subst[n as usize] = Some(Lit::new(r, false).complement_if(inv));
                     merged = true;
                     break;
@@ -274,14 +242,7 @@ impl VerifyScratch {
 /// Exhaustively verifies `value(r) == value(n) ^ inv` over the union support
 /// of the two cones. Returns `false` (no merge) when the support or cone is
 /// too large for exhaustive checking.
-fn verify_pair(
-    g: &Aig,
-    r: u32,
-    n: u32,
-    inv: bool,
-    cfg: &SweepConfig,
-    s: &mut VerifyScratch,
-) -> bool {
+fn verify_pair(g: &Aig, r: u32, n: u32, inv: bool, s: &mut VerifyScratch) -> bool {
     // Collect the union cone (AND nodes) and support (primary inputs).
     s.stamp += 1;
     s.cone.clear();
@@ -304,7 +265,7 @@ fn verify_pair(
         seen[m as usize] = *stamp;
         if g.is_and(m) {
             cone.push(m);
-            if cone.len() > cfg.max_cone() {
+            if cone.len() > MAX_CONE {
                 return false;
             }
             let (f0, f1) = g.fanins(m);
@@ -312,7 +273,7 @@ fn verify_pair(
             stack.push(f1.node());
         } else if g.is_input(m) {
             support.push(m);
-            if support.len() > cfg.max_support() {
+            if support.len() > MAX_SUPPORT {
                 return false;
             }
         }
@@ -471,26 +432,37 @@ mod tests {
         assert!(h.num_ands() <= g.num_ands());
     }
 
+    /// Two parity chains over the same inputs, in opposite orders, compute
+    /// one function, and no other node of one equals a node of the other.
+    /// Over 12 inputs the sweep merges the two roots; over 13 their union
+    /// support exceeds the limit, so nothing merges.
     #[test]
     fn respects_support_limit() {
-        let mut g = Aig::new(2);
-        let (a, b) = (g.input(0), g.input(1));
-        let x = g.xor(a, b);
-        let y = {
-            let o = g.or(a, b);
-            let n = g.and(a, b);
-            g.and(o, !n)
-        };
-        let f = g.and(x, y);
-        g.add_output(f);
-        // max_support = 1 forbids verification, so nothing merges — but the
-        // pass must still be sound and non-growing.
-        let cfg = SweepConfig {
-            max_support: 1,
-            ..SweepConfig::default()
-        };
-        let h = sweep(&g, &cfg);
+        fn opposite_parities(ni: usize) -> Aig {
+            let mut g = Aig::new(ni);
+            let ins = g.inputs();
+            let up = ins[1..].iter().fold(ins[0], |acc, &x| g.xor(acc, x));
+            let down = ins[..ni - 1]
+                .iter()
+                .rev()
+                .fold(ins[ni - 1], |acc, &x| g.xor(acc, x));
+            g.add_output(up);
+            g.add_output(down);
+            g
+        }
+        let g = opposite_parities(MAX_SUPPORT);
+        let h = sweep(&g, &SweepConfig::default());
         equivalent_exhaustive(&g, &h);
-        assert!(h.num_ands() <= g.num_ands());
+        assert!(h.num_ands() < g.num_ands(), "the roots should merge");
+
+        let g = opposite_parities(MAX_SUPPORT + 1);
+        let h = sweep(&g, &SweepConfig::default());
+        assert_eq!(h.num_ands(), g.num_ands(), "nothing may merge");
+        // `equivalent_exhaustive` stops at 12 inputs; check all 2^13
+        // patterns here.
+        for m in 0..(1u64 << 13) {
+            let bits: Vec<bool> = (0..13).map(|i| (m >> i) & 1 == 1).collect();
+            assert_eq!(g.eval(&bits), h.eval(&bits), "mismatch at {m:b}");
+        }
     }
 }

@@ -9,6 +9,9 @@
 //! * the arena-backed rewrite produces node-identical results to the
 //!   retained `Vec`-based reference implementation on random AIGs.
 
+mod common;
+
+use common::{arb_ops, build_gates, Op};
 use lsml_aig::aig::Aig;
 use lsml_aig::cut::{eval_cut, CutArena, CutConfig};
 use lsml_aig::npn::{apply, apply6, broadcast16, canonize, semi_canonize, NpnTransform};
@@ -18,53 +21,8 @@ use lsml_aig::Lit;
 use lsml_pla::Pattern;
 use proptest::prelude::*;
 
-/// A recipe for building a random AIG: a list of gate ops over existing
-/// lits (same shape as the pipeline property suite).
-#[derive(Clone, Debug)]
-enum Op {
-    And(u8, bool, u8, bool),
-    Xor(u8, bool, u8, bool),
-    Mux(u8, u8, u8),
-}
-
-fn arb_ops(n: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (any::<u8>(), any::<bool>(), any::<u8>(), any::<bool>())
-                .prop_map(|(a, ca, b, cb)| Op::And(a, ca, b, cb)),
-            (any::<u8>(), any::<bool>(), any::<u8>(), any::<bool>())
-                .prop_map(|(a, ca, b, cb)| Op::Xor(a, ca, b, cb)),
-            (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(s, t, e)| Op::Mux(s, t, e)),
-        ],
-        1..n,
-    )
-}
-
 fn build(ops: &[Op], ni: usize) -> Aig {
-    let mut g = Aig::new(ni);
-    let mut lits: Vec<Lit> = g.inputs();
-    for op in ops {
-        let pick = |i: u8, lits: &[Lit]| lits[i as usize % lits.len()];
-        let l = match *op {
-            Op::And(a, ca, b, cb) => {
-                let x = pick(a, &lits).complement_if(ca);
-                let y = pick(b, &lits).complement_if(cb);
-                g.and(x, y)
-            }
-            Op::Xor(a, ca, b, cb) => {
-                let x = pick(a, &lits).complement_if(ca);
-                let y = pick(b, &lits).complement_if(cb);
-                g.xor(x, y)
-            }
-            Op::Mux(s, t, e) => {
-                let sv = pick(s, &lits);
-                let tv = pick(t, &lits);
-                let ev = pick(e, &lits);
-                g.mux(sv, tv, ev)
-            }
-        };
-        lits.push(l);
-    }
+    let (mut g, lits) = build_gates(ops, ni);
     g.add_output(*lits.last().expect("at least one literal"));
     g.add_output(!lits[lits.len() / 2]);
     g
@@ -170,7 +128,7 @@ proptest! {
         let g = build(&ops, NARROW);
         for cut_size in [4usize, 6] {
             for zero_gain in [false, true] {
-                let cfg = RewriteConfig { zero_gain, cut_size, ..RewriteConfig::default() };
+                let cfg = RewriteConfig { zero_gain, cut_size };
                 let a = rewrite(&g, &cfg);
                 let b = rewrite_reference(&g, &cfg);
                 prop_assert_eq!(
@@ -207,7 +165,7 @@ proptest! {
                 "extension (k={}): {:?}", k, arena.check_csr());
             // Rewritten graphs satisfy the full structural verifier.
             for zero_gain in [false, true] {
-                let cfg = RewriteConfig { zero_gain, cut_size: k, ..RewriteConfig::default() };
+                let cfg = RewriteConfig { zero_gain, cut_size: k };
                 let h = rewrite(&g, &cfg);
                 prop_assert!(h.check_invariants().is_ok(),
                     "rewrite k={} zero_gain={}: {:?}", k, zero_gain, h.check_invariants());

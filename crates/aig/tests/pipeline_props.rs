@@ -8,66 +8,24 @@
 //!   column-fed path (`sim::eval_columns` over a random `BitColumns`
 //!   dataset), so the two simulation front ends cross-validate each other.
 
+mod common;
+
+use common::{arb_ops, build_gates, Op};
 use lsml_aig::aig::Aig;
 use lsml_aig::opt::{BalancePass, CleanupPass, Pass, Pipeline, RewritePass, SweepPass};
 use lsml_aig::rewrite::{rewrite, RewriteConfig};
 use lsml_aig::sim::{eval_columns, eval_patterns_multi};
 use lsml_aig::sweep::{sweep, SweepConfig};
-use lsml_aig::Lit;
 use lsml_pla::{Dataset, Pattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A recipe for building a random AIG: a list of gate ops over existing lits.
-#[derive(Clone, Debug)]
-enum Op {
-    And(u8, bool, u8, bool),
-    Xor(u8, bool, u8, bool),
-    Mux(u8, u8, u8),
-}
-
-fn arb_ops(n: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (any::<u8>(), any::<bool>(), any::<u8>(), any::<bool>())
-                .prop_map(|(a, ca, b, cb)| Op::And(a, ca, b, cb)),
-            (any::<u8>(), any::<bool>(), any::<u8>(), any::<bool>())
-                .prop_map(|(a, ca, b, cb)| Op::Xor(a, ca, b, cb)),
-            (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(s, t, e)| Op::Mux(s, t, e)),
-        ],
-        1..n,
-    )
-}
-
 /// Builds a multi-output AIG over `ni` inputs from the op recipe: the last
 /// literal plus a mid-recipe literal become outputs (one complemented), so
 /// multi-output and complemented-output paths are always exercised.
 fn build(ops: &[Op], ni: usize) -> Aig {
-    let mut g = Aig::new(ni);
-    let mut lits: Vec<Lit> = g.inputs();
-    for op in ops {
-        let pick = |i: u8, lits: &[Lit]| lits[i as usize % lits.len()];
-        let l = match *op {
-            Op::And(a, ca, b, cb) => {
-                let x = pick(a, &lits).complement_if(ca);
-                let y = pick(b, &lits).complement_if(cb);
-                g.and(x, y)
-            }
-            Op::Xor(a, ca, b, cb) => {
-                let x = pick(a, &lits).complement_if(ca);
-                let y = pick(b, &lits).complement_if(cb);
-                g.xor(x, y)
-            }
-            Op::Mux(s, t, e) => {
-                let sv = pick(s, &lits);
-                let tv = pick(t, &lits);
-                let ev = pick(e, &lits);
-                g.mux(sv, tv, ev)
-            }
-        };
-        lits.push(l);
-    }
+    let (mut g, lits) = build_gates(ops, ni);
     g.add_output(*lits.last().expect("at least one literal"));
     g.add_output(!lits[lits.len() / 2]);
     g

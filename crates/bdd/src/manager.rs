@@ -73,12 +73,6 @@ impl BddManager {
         self.num_vars
     }
 
-    /// Total nodes allocated in the arena (monotone; includes both
-    /// terminals).
-    pub fn arena_size(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The constant BDD for `value`.
     pub fn constant(&self, value: bool) -> BddRef {
         if value {

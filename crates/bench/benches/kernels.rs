@@ -71,7 +71,6 @@ fn main() {
     let ds = dataset();
     let cfg = EspressoConfig {
         first_irredundant: true,
-        ..EspressoConfig::default()
     };
     assert_eq!(
         minimize_dataset(&ds, &cfg).cubes(),

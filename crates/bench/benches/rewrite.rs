@@ -74,7 +74,6 @@ fn learner_corpus() -> Vec<(String, Aig)> {
                     ..TreeConfig::default()
                 },
                 seed: 3,
-                ..RandomForestConfig::default()
             },
         );
         out.push((format!("rf8/{}", bench.name), rf.to_aig()));

@@ -29,7 +29,6 @@ fn main() {
                 &problem.train,
                 &EspressoConfig {
                     first_irredundant: true,
-                    ..EspressoConfig::default()
                 },
             );
             let aig = cover_to_aig(&cover);

@@ -13,7 +13,7 @@
 //! cargo run -p lsml-bench --bin fig7_approximation --release
 //! ```
 
-use lsml_aig::opt::Pipeline;
+use lsml_aig::opt::{Pipeline, FIXPOINT_ROUNDS};
 use lsml_aig::{reduce, ApproxConfig};
 use lsml_bench::RunScale;
 use lsml_lutnet::{LutNetConfig, LutNetwork};
@@ -45,7 +45,7 @@ fn main() {
         // The exact prefix of the reduction, reported separately; the
         // fixpoint cache makes reduce's own prelude a no-op hash probe on
         // the converged graph rather than a re-optimization.
-        let rewritten = Pipeline::resyn(cfg.seed).run_fixpoint(&big, cfg.pipeline_rounds);
+        let rewritten = Pipeline::resyn(cfg.seed).run_fixpoint(&big, FIXPOINT_ROUNDS);
         let small = reduce(&rewritten, &cfg);
         let preds = lsml_aig::sim::eval_patterns(&small, data.test.patterns());
         let approx_acc = data.test.accuracy_of_slice(&preds);

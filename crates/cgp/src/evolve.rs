@@ -7,6 +7,9 @@ use rand::SeedableRng;
 
 use crate::genome::{EvalBuffer, Genome};
 
+/// Initial per-field mutation probability (adapted by the 1/5-th rule).
+const MUTATION_RATE: f64 = 0.02;
+
 /// CGP evolution configuration.
 #[derive(Clone, Debug)]
 pub struct CgpConfig {
@@ -17,8 +20,6 @@ pub struct CgpConfig {
     pub lambda: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Initial per-field mutation probability (adapted by the 1/5-th rule).
-    pub mutation_rate: f64,
     /// Allow XOR genes (XAIG mode) in addition to AND/INV.
     pub use_xor: bool,
     /// Mini-batch size for fitness evaluation; `None` uses the full
@@ -36,7 +37,6 @@ impl Default for CgpConfig {
             n_nodes: 500,
             lambda: 4,
             generations: 2000,
-            mutation_rate: 0.02,
             use_xor: true,
             batch_size: None,
             batch_refresh: 1000,
@@ -101,7 +101,7 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
             genome: parent,
             train_accuracy: acc,
             generations: 0,
-            final_mutation_rate: cfg.mutation_rate,
+            final_mutation_rate: MUTATION_RATE,
         };
     }
     // The columns fitness is scored on: the training set's, or the current
@@ -109,7 +109,7 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
     let mut columns = ds.bit_columns();
     let mut buf = EvalBuffer::default();
 
-    let mut rate = cfg.mutation_rate;
+    let mut rate = MUTATION_RATE;
     let mut active = parent.active_mask();
     let mut parent_fit = fitness(&parent, &active, &columns, &mut buf);
 
@@ -286,7 +286,6 @@ mod tests {
         let cfg = CgpConfig {
             n_nodes: 20,
             generations: 100,
-            mutation_rate: 0.02,
             ..CgpConfig::default()
         };
         let r = evolve(&ds, &cfg);

@@ -54,12 +54,12 @@ use std::sync::{Arc, OnceLock};
 
 use lsml_aig::approx::{reduce_traced_with, ApproxConfig};
 use lsml_aig::lru::{env_budget, CacheStats, ShardedLru};
-use lsml_aig::opt::Pipeline;
+use lsml_aig::opt::{Pipeline, FIXPOINT_ROUNDS};
 use lsml_aig::sweep::SweepConfig;
 use lsml_aig::{Aig, Lit};
 use lsml_pla::{BitColumns, Dataset, Pattern};
 
-use crate::portfolio::{fan_out, Task};
+use crate::portfolio::{beats, constant_fallback, fan_out, Task};
 use crate::problem::{LearnedCircuit, Problem};
 
 /// How large a compiled circuit may be, and how hard to fight to get there.
@@ -77,9 +77,6 @@ pub struct SizeBudget {
     /// Seed for the pipeline's simulation signatures and the approximation
     /// stimulus.
     pub seed: u64,
-    /// Fixpoint rounds of the exact pipeline (each round is the full pass
-    /// chain).
-    pub rounds: usize,
 }
 
 impl SizeBudget {
@@ -90,7 +87,6 @@ impl SizeBudget {
             allow_approx: false,
             stimulus: None,
             seed: 0,
-            rounds: 2,
         }
     }
 
@@ -103,15 +99,7 @@ impl SizeBudget {
             allow_approx: true,
             stimulus: Some(problem.train.patterns().to_vec()),
             seed: problem.seed,
-            rounds: 2,
         }
-    }
-
-    /// This budget with the approximation fallback disabled.
-    pub fn without_approx(mut self) -> SizeBudget {
-        self.allow_approx = false;
-        self.stimulus = None;
-        self
     }
 
     /// The optimization pipeline this budget prescribes.
@@ -128,7 +116,6 @@ impl SizeBudget {
         feed(self.node_limit as u64);
         feed(u64::from(self.allow_approx));
         feed(self.seed);
-        feed(self.rounds as u64);
         match &self.stimulus {
             None => feed(u64::MAX),
             Some(patterns) => {
@@ -367,7 +354,7 @@ fn compile_through_flag(
         );
     }
 
-    let optimized = pipeline.run_fixpoint(&aig, budget.rounds.max(1));
+    let optimized = pipeline.run_fixpoint(&aig, FIXPOINT_ROUNDS);
     let (result, approximated) =
         if optimized.num_ands() <= budget.node_limit || !budget.allow_approx {
             (optimized, false)
@@ -376,7 +363,6 @@ fn compile_through_flag(
                 node_limit: budget.node_limit,
                 stimulus: budget.stimulus.clone(),
                 seed: budget.seed,
-                ..ApproxConfig::default()
             };
             // Hand the reduction *this* pipeline (plain or columns-stimulus
             // resyn): when the run above converged, the prelude inside is a
@@ -482,7 +468,6 @@ pub struct CompileBatch {
     shared: Aig,
     budget: SizeBudget,
     sweep_columns: Option<Arc<BitColumns>>,
-    k6: bool,
     cands: Vec<BatchCandidate>,
 }
 
@@ -494,7 +479,6 @@ impl CompileBatch {
             shared: Aig::new(num_inputs),
             budget: budget.clone(),
             sweep_columns: None,
-            k6: false,
             cands: Vec::new(),
         }
     }
@@ -507,14 +491,6 @@ impl CompileBatch {
     /// check, so semantics are preserved exactly.
     pub fn with_sweep_columns(mut self, columns: Arc<BitColumns>) -> CompileBatch {
         self.sweep_columns = Some(columns);
-        self
-    }
-
-    /// Switches the batch to the k = 6 rewrite script
-    /// ([`Pipeline::resyn_k6`]-shaped, layered over the classic k = 4
-    /// rounds).
-    pub fn with_k6(mut self) -> CompileBatch {
-        self.k6 = true;
         self
     }
 
@@ -577,16 +553,10 @@ impl CompileBatch {
     /// script the per-candidate path would pick for this budget and
     /// stimulus.
     fn pipeline(&self) -> Pipeline {
-        let sweep = SweepConfig {
+        Pipeline::resyn_with_sweep(SweepConfig {
             seed: self.budget.seed,
             stimulus: self.sweep_columns.clone(),
-            ..SweepConfig::default()
-        };
-        if self.k6 {
-            Pipeline::resyn_with(sweep, 6)
-        } else {
-            Pipeline::resyn_with_sweep(sweep)
-        }
+        })
     }
 
     /// Compiles one candidate (memoized): canonical cone extraction plus the
@@ -660,9 +630,9 @@ impl CompileBatch {
     }
 
     /// Picks the best candidate by validation accuracy under `node_limit`,
-    /// with the exact semantics of [`crate::portfolio::select_best`]
-    /// (accuracy within 1e-12 ties break to fewer gates, then declaration
-    /// order; nothing fits → constant majority fallback) — but compiling
+    /// with the selection rule and the constant majority fallback of
+    /// [`crate::portfolio::select_best`] (accuracy within 1e-12 ties break
+    /// to fewer gates, then declaration order) — but compiling
     /// **lazily**: candidates are scored on their raw cones via the shared
     /// simulation and visited best-first, so typically only the winner (plus
     /// any candidates tied with it, or better-scoring ones that turn out
@@ -685,7 +655,7 @@ impl CompileBatch {
         // Best accuracy first; declaration order inside a tie, matching the
         // sequential scan of `portfolio::select_best`.
         order.sort_by(|&a, &b| accs[b].total_cmp(&accs[a]).then(a.cmp(&b)));
-        let mut best: Option<(f64, usize, usize)> = None;
+        let mut best: Option<((f64, usize), usize)> = None;
         for &i in &order {
             // Deadline hit: stop compiling further candidates and return the
             // best one finished so far (partial-best-so-far semantics — the
@@ -693,7 +663,7 @@ impl CompileBatch {
             if best.is_some() && lsml_aig::cancel::cancelled() {
                 break;
             }
-            if let Some((bacc, _, _)) = best {
+            if let Some(((bacc, _), _)) = best {
                 // Everything from here on scores strictly worse than the
                 // best *fitting* candidate: it can't win, so don't compile.
                 if accs[i] < bacc - 1e-12 {
@@ -704,32 +674,16 @@ impl CompileBatch {
             if !c.fits(node_limit) {
                 continue;
             }
-            let (acc, size) = (accs[i], c.and_gates());
-            let better = match &best {
-                None => true,
-                Some((bacc, bsize, _)) => {
-                    acc > *bacc + 1e-12 || ((acc - *bacc).abs() <= 1e-12 && size < *bsize)
-                }
-            };
-            if better {
-                best = Some((acc, size, i));
+            let score = (accs[i], c.and_gates());
+            if beats(score, best.map(|(b, _)| b)) {
+                best = Some((score, i));
             }
         }
         match best {
-            Some((_, _, i)) => self.compile(i),
+            Some((_, i)) => self.compile(i),
             None => constant_fallback(valid),
         }
     }
-}
-
-/// The constant circuit matching the validation majority — the safe
-/// fallback every team kept in its pocket (same semantics as the one in
-/// [`crate::portfolio::select_best`]).
-fn constant_fallback(valid: &Dataset) -> LearnedCircuit {
-    LearnedCircuit::new(
-        Aig::constant(valid.num_inputs(), valid.majority()),
-        "constant-fallback",
-    )
 }
 
 #[cfg(test)]
@@ -782,36 +736,10 @@ mod tests {
             allow_approx: true,
             stimulus: None,
             seed: 1,
-            rounds: 1,
         };
         let c = LearnedCircuit::compile(g, "bulky", &budget);
         assert!(c.fits(30), "gates {}", c.and_gates());
         assert!(c.method.ends_with("+approx"), "method {}", c.method);
-    }
-
-    #[test]
-    fn without_approx_leaves_oversized_circuits_alone() {
-        let mut g = Aig::new(16);
-        let ins = g.inputs();
-        let f = lsml_aig::circuits::at_least(&mut g, &ins, 8);
-        g.add_output(f);
-        // An approximating budget downgraded through the builder must act
-        // exactly like an exact one: no node-dropping, no stimulus.
-        let budget = SizeBudget {
-            node_limit: 3,
-            stimulus: Some(Vec::new()),
-            ..SizeBudget::exact(3)
-        };
-        let budget = SizeBudget {
-            allow_approx: true,
-            ..budget
-        }
-        .without_approx();
-        assert!(!budget.allow_approx);
-        assert!(budget.stimulus.is_none());
-        let c = LearnedCircuit::compile(g, "thresh", &budget);
-        assert!(!c.fits(3));
-        assert_eq!(c.method, "thresh");
     }
 
     /// The training-column sweep stimulus (Team 1's and serve's batches)
@@ -899,7 +827,7 @@ mod tests {
             let label = (0..6).filter(|&i| p.get(i)).count() % 2 == 1;
             valid.push(p, label);
         }
-        let mut batch = CompileBatch::new(6, &SizeBudget::exact(5000).without_approx());
+        let mut batch = CompileBatch::new(6, &SizeBudget::exact(5000));
         for k in 2..=6usize {
             let mut g = Aig::new(6);
             let ins = g.inputs();
@@ -946,7 +874,6 @@ mod tests {
             allow_approx: true,
             stimulus: None,
             seed: 1,
-            rounds: 1,
         };
         let (c, v) = LearnedCircuit::compile_with_verdict(g, "bulky2", &budget);
         assert_eq!(v, BudgetVerdict::Approximated);

@@ -69,32 +69,41 @@ pub fn select_best(
     valid: &Dataset,
     node_limit: usize,
 ) -> LearnedCircuit {
-    let mut best: Option<(f64, usize, usize)> = None;
+    let mut best: Option<((f64, usize), usize)> = None;
     for (i, c) in candidates.iter().enumerate() {
         if !c.fits(node_limit) {
             continue;
         }
-        let (acc, size) = (c.accuracy(valid), c.and_gates());
-        let better = match &best {
-            None => true,
-            Some((bacc, bsize, _)) => {
-                acc > *bacc + 1e-12 || ((acc - *bacc).abs() <= 1e-12 && size < *bsize)
-            }
-        };
-        if better {
-            best = Some((acc, size, i));
+        let score = (c.accuracy(valid), c.and_gates());
+        if beats(score, best.map(|(b, _)| b)) {
+            best = Some((score, i));
         }
     }
     match best {
-        Some((_, _, i)) => candidates.swap_remove(i),
-        None => {
-            let majority = valid.majority();
-            LearnedCircuit::new(
-                lsml_aig::Aig::constant(valid.num_inputs(), majority),
-                "constant-fallback",
-            )
-        }
+        Some((_, i)) => candidates.swap_remove(i),
+        None => constant_fallback(valid),
     }
+}
+
+/// The selection rule over `(validation accuracy, AND gates)` scores of
+/// fitting candidates: whether `score` beats the best so far. Higher
+/// accuracy wins; accuracies within 1e-12 tie and break to fewer gates; a
+/// full tie keeps the earlier candidate.
+pub(crate) fn beats(score: (f64, usize), best: Option<(f64, usize)>) -> bool {
+    let (acc, size) = score;
+    match best {
+        None => true,
+        Some((bacc, bsize)) => acc > bacc + 1e-12 || ((acc - bacc).abs() <= 1e-12 && size < bsize),
+    }
+}
+
+/// The constant circuit matching the validation majority: the fallback when
+/// no candidate fits.
+pub(crate) fn constant_fallback(valid: &Dataset) -> LearnedCircuit {
+    LearnedCircuit::new(
+        lsml_aig::Aig::constant(valid.num_inputs(), valid.majority()),
+        "constant-fallback",
+    )
 }
 
 #[cfg(test)]

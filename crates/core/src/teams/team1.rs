@@ -77,7 +77,6 @@ impl Learner for Team1 {
             tasks.push(Box::new(move || {
                 let cfg = EspressoConfig {
                     first_irredundant: true,
-                    ..EspressoConfig::default()
                 };
                 let cover = minimize_dataset(&problem.train, &cfg);
                 Some((cover_to_aig(&cover), "espresso".to_string()))
@@ -109,7 +108,6 @@ impl Learner for Team1 {
                             ..TreeConfig::default()
                         },
                         seed: stage_seed(problem, 100 + n as u64),
-                        ..RandomForestConfig::default()
                     },
                 );
                 Some((rf.to_aig(), format!("rf{n}")))

@@ -93,7 +93,6 @@ impl Learner for Team5 {
                         ..TreeConfig::default()
                     },
                     seed: stage_seed(problem, 50),
-                    ..RandomForestConfig::default()
                 },
             );
             batch.add_aig(&rf.to_aig(), format!("rf3(r={ratio_tag})"));

@@ -84,7 +84,6 @@ impl Learner for Team8 {
                         ..TreeConfig::default()
                     },
                     seed: stage_seed(problem, 8),
-                    ..RandomForestConfig::default()
                 },
             );
             Some((rf.to_aig(), "rf17".to_string()))

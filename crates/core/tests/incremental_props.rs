@@ -10,7 +10,7 @@
 //! batched and from-scratch phases, so agreement is established by actually
 //! re-running the pipeline, not by hitting a memoized entry.
 
-use lsml_aig::opt::{fixpoint_cache_clear, Pipeline};
+use lsml_aig::opt::fixpoint_cache_clear;
 use lsml_aig::sim::eval_patterns_multi;
 use lsml_aig::{Aig, Lit};
 use lsml_core::compile::{compile_cache_clear, CompileBatch, SizeBudget};
@@ -143,42 +143,6 @@ proptest! {
             let raw = standalone(&ops, *len);
             let s = LearnedCircuit::compile(raw.clone(), format!("round-{len}"), &budget);
             assert_identical(b, &s, &raw);
-        }
-    }
-
-    /// The same pinning for the k = 6 pipeline (`CompileBatch::with_k6`):
-    /// the batched compile must equal a cold from-scratch `resyn_k6`
-    /// fixpoint over the canonicalized candidate.
-    #[test]
-    fn batched_k6_rounds_match_from_scratch(ops in arb_ops(28), seed in 0u64..64) {
-        let budget = SizeBudget { seed, ..SizeBudget::exact(5000) };
-        let mut batch = CompileBatch::new(NUM_INPUTS, &budget).with_k6();
-        let mut ids = Vec::new();
-        for &len in &prefixes(&ops) {
-            let out = replay(batch.shared(), &ops, len);
-            ids.push((len, batch.add_cone(out, format!("round-{len}"))));
-        }
-        let batched: Vec<(usize, LearnedCircuit)> = ids
-            .iter()
-            .map(|&(len, id)| (len, batch.compile(id)))
-            .collect();
-
-        compile_cache_clear();
-        fixpoint_cache_clear();
-        for (len, b) in &batched {
-            let raw = standalone(&ops, *len);
-            let canon = raw.extract_cone(raw.outputs());
-            let scratch = Pipeline::resyn_k6(seed).run_fixpoint(&canon, budget.rounds.max(1));
-            assert_eq!(
-                b.aig.structural_fingerprint(),
-                scratch.structural_fingerprint(),
-                "k6 batched compile must equal the cold k6 fixpoint"
-            );
-            let pats = all_patterns();
-            assert_eq!(
-                eval_patterns_multi(&b.aig, &pats),
-                eval_patterns_multi(&raw, &pats),
-            );
         }
     }
 

@@ -22,8 +22,6 @@ pub struct GradientBoostConfig {
     pub lambda: f64,
     /// Minimum hessian sum per child (XGBoost's min_child_weight).
     pub min_child_weight: f64,
-    /// Minimum gain for a split to be kept (XGBoost's gamma).
-    pub gamma: f64,
 }
 
 impl Default for GradientBoostConfig {
@@ -34,7 +32,6 @@ impl Default for GradientBoostConfig {
             learning_rate: 0.3,
             lambda: 1.0,
             min_child_weight: 1.0,
-            gamma: 0.0,
         }
     }
 }
@@ -336,8 +333,7 @@ impl RegBuilder<'_> {
             }
             let gain = 0.5
                 * (gl * gl / (hl + self.cfg.lambda) + gh * gh / (hh + self.cfg.lambda)
-                    - parent_obj)
-                - self.cfg.gamma;
+                    - parent_obj);
             if gain > 1e-12 && best.is_none_or(|(_, bg)| gain > bg) {
                 best = Some((f, gain));
             }
@@ -411,8 +407,7 @@ impl RegBuilderRows<'_> {
             }
             let gain = 0.5
                 * (gl * gl / (hl + self.cfg.lambda) + gh * gh / (hh + self.cfg.lambda)
-                    - parent_obj)
-                - self.cfg.gamma;
+                    - parent_obj);
             if gain > 1e-12 && best.is_none_or(|(_, bg)| gain > bg) {
                 best = Some((f, gain));
             }

@@ -22,9 +22,6 @@ pub struct RandomForestConfig {
     /// Per-tree configuration. `feature_subsample = None` here enables the
     /// sqrt(#features) default per tree.
     pub tree: TreeConfig,
-    /// Fraction of the training set bootstrapped per tree (with
-    /// replacement); 1.0 is the classic bagging setting.
-    pub sample_ratio: f64,
     /// Master seed; per-tree seeds derive from it.
     pub seed: u64,
 }
@@ -37,7 +34,6 @@ impl Default for RandomForestConfig {
                 max_depth: Some(8),
                 ..TreeConfig::default()
             },
-            sample_ratio: 1.0,
             seed: 0,
         }
     }
@@ -74,13 +70,14 @@ impl RandomForest {
             .tree
             .feature_subsample
             .unwrap_or_else(|| (ds.num_inputs() as f64).sqrt().ceil().max(1.0) as usize);
-        let n_boot = ((ds.len() as f64) * cfg.sample_ratio).round().max(1.0) as usize;
         let trees = (0..cfg.n_trees)
             .map(|t| {
+                // Classic bagging: a resample with replacement as large as
+                // the training set.
                 let sample = if ds.is_empty() {
                     ds.clone()
                 } else {
-                    ds.bootstrap(n_boot, &mut rng)
+                    ds.bootstrap(ds.len(), &mut rng)
                 };
                 let tree_cfg = TreeConfig {
                     feature_subsample: Some(subsample),

@@ -44,12 +44,6 @@ pub struct TreeConfig {
     pub max_depth: Option<usize>,
     /// Minimum number of examples in each child of a split.
     pub min_samples_leaf: usize,
-    /// Nodes with fewer examples become leaves.
-    pub min_samples_split: usize,
-    /// Minimum impurity gain for a split to be accepted. The default of 0.0
-    /// matches scikit-learn's CART: an impure node splits even at zero gain
-    /// (which is what lets complete-data trees represent parity).
-    pub min_gain: f64,
     /// If set, each node considers only this many randomly drawn features
     /// (random-forest style decorrelation).
     pub feature_subsample: Option<usize>,
@@ -59,10 +53,11 @@ pub struct TreeConfig {
     /// below this threshold, search unused features whose split makes one
     /// branch constant or the two branches complementary.
     pub funcdec_threshold: Option<f64>,
-    /// Upper bound on features tested per node by the functional
-    /// decomposition search (scanned from the last feature backwards).
-    pub funcdec_max_tests: usize,
 }
+
+/// Upper bound on features tested per node by the functional decomposition
+/// search (scanned from the last feature backwards).
+const FUNCDEC_MAX_TESTS: usize = 64;
 
 impl Default for TreeConfig {
     fn default() -> Self {
@@ -70,12 +65,9 @@ impl Default for TreeConfig {
             criterion: Criterion::Gini,
             max_depth: None,
             min_samples_leaf: 1,
-            min_samples_split: 2,
-            min_gain: 0.0,
             feature_subsample: None,
             seed: 0,
             funcdec_threshold: None,
-            funcdec_max_tests: 64,
         }
     }
 }
@@ -278,17 +270,6 @@ impl DecisionTree {
         &self.importance
     }
 
-    /// The split variables appearing in the tree, with multiplicity.
-    pub fn used_features(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Split { feature, .. } => Some(*feature as usize),
-                Node::Leaf { .. } => None,
-            })
-            .collect()
-    }
-
     /// Compiles the tree to an AIG: every split becomes a 2-input
     /// multiplexer (Team 10's construction), composite features become their
     /// defining gates.
@@ -376,11 +357,7 @@ impl Trainer<'_> {
             (nodes.len() - 1) as u32
         };
 
-        if pos == 0
-            || neg == 0
-            || count < self.cfg.min_samples_split
-            || self.cfg.max_depth.is_some_and(|d| depth >= d)
-        {
+        if pos == 0 || neg == 0 || self.cfg.max_depth.is_some_and(|d| depth >= d) {
             return make_leaf(&mut self.nodes);
         }
 
@@ -477,9 +454,11 @@ impl Trainer<'_> {
                 * criterion.impurity(hi_pos as f64, (hi_n - hi_pos) as f64)
                 + (lo_n as f64 / n) * criterion.impurity(lo_pos as f64, (lo_n - lo_pos) as f64);
             let gain = parent - child;
-            // Tolerate floating-point jitter around exactly-zero gains so an
-            // impure node still splits (CART semantics).
-            if gain >= self.cfg.min_gain - 1e-12 && best.is_none_or(|(_, g)| gain > g) {
+            // Any gain down to zero is accepted, as in scikit-learn's CART:
+            // an impure node splits even at zero gain (which is what lets
+            // complete-data trees represent parity). The tolerance absorbs
+            // floating-point jitter around exactly-zero gains.
+            if gain >= -1e-12 && best.is_none_or(|(_, g)| gain > g) {
                 best = Some((f, gain));
             }
         }
@@ -519,7 +498,7 @@ impl Trainer<'_> {
             if used[f] {
                 continue;
             }
-            if tested >= self.cfg.funcdec_max_tests {
+            if tested >= FUNCDEC_MAX_TESTS {
                 break;
             }
             tested += 1;

@@ -20,28 +20,19 @@
 use lsml_pla::kernels::for_each_set_bit;
 use lsml_pla::{BitColumns, Cover, Cube, Dataset, Pattern, Trit};
 
+/// Maximum number of EXPAND→IRREDUNDANT→REDUCE iterations.
+const MAX_LOOPS: usize = 4;
+/// Upper bound on the number of cubes that receive full expansion; any
+/// remaining uncovered positive examples are kept as raw minterms. Guards
+/// against quadratic blow-up on very wide benchmarks.
+const MAX_EXPANDED_CUBES: usize = 20_000;
+
 /// Tuning knobs for the minimizer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EspressoConfig {
     /// Stop after the first IRREDUNDANT pass (Team 1's fast mode) instead of
     /// iterating EXPAND/REDUCE to a fixpoint.
     pub first_irredundant: bool,
-    /// Maximum number of EXPAND→IRREDUNDANT→REDUCE iterations.
-    pub max_loops: usize,
-    /// Upper bound on the number of cubes that receive full expansion; any
-    /// remaining uncovered positive examples are kept as raw minterms. Guards
-    /// against quadratic blow-up on very wide benchmarks.
-    pub max_expanded_cubes: usize,
-}
-
-impl Default for EspressoConfig {
-    fn default() -> Self {
-        EspressoConfig {
-            first_irredundant: false,
-            max_loops: 4,
-            max_expanded_cubes: 20_000,
-        }
-    }
 }
 
 /// Minimizes the incompletely specified function given by a labelled dataset:
@@ -139,11 +130,10 @@ impl Engine {
         seeds: Vec<Cube>,
         positives: &[Pattern],
         negatives: &[Pattern],
-        cfg: &EspressoConfig,
     ) -> Cover {
         match self {
-            Engine::Rows => expand_rows(num_vars, seeds, positives, negatives, cfg),
-            Engine::Columns(scan) => scan.expand(num_vars, seeds, cfg),
+            Engine::Rows => expand_rows(num_vars, seeds, positives, negatives),
+            Engine::Columns(scan) => scan.expand(num_vars, seeds),
         }
     }
 
@@ -198,22 +188,16 @@ fn minimize(
             panic!("contradictory labels for pattern {}", positives[i]);
         }
     }
-    let mut cover = engine.expand(num_vars, seeds, positives, negatives, cfg);
+    let mut cover = engine.expand(num_vars, seeds, positives, negatives);
     engine.irredundant(&mut cover, positives);
     if cfg.first_irredundant {
         return cover;
     }
 
     let mut best = cover.clone();
-    for _ in 0..cfg.max_loops {
+    for _ in 0..MAX_LOOPS {
         engine.reduce(&mut cover, positives);
-        cover = engine.expand(
-            num_vars,
-            cover.into_iter().collect(),
-            positives,
-            negatives,
-            cfg,
-        );
+        cover = engine.expand(num_vars, cover.into_iter().collect(), positives, negatives);
         engine.irredundant(&mut cover, positives);
         if cost(&cover) < cost(&best) {
             best = cover.clone();
@@ -237,7 +221,6 @@ fn expand_rows(
     seeds: Vec<Cube>,
     positives: &[Pattern],
     negatives: &[Pattern],
-    cfg: &EspressoConfig,
 ) -> Cover {
     let mut out = Cover::new(num_vars);
     let mut covered = vec![false; positives.len()];
@@ -252,7 +235,7 @@ fn expand_rows(
         if !contributes {
             continue;
         }
-        let cube = if expanded < cfg.max_expanded_cubes {
+        let cube = if expanded < MAX_EXPANDED_CUBES {
             expanded += 1;
             expand_cube_rows(&seed, negatives)
         } else {
@@ -433,7 +416,7 @@ impl ColumnScan {
         }
     }
 
-    fn expand(&mut self, num_vars: usize, seeds: Vec<Cube>, cfg: &EspressoConfig) -> Cover {
+    fn expand(&mut self, num_vars: usize, seeds: Vec<Cube>) -> Cover {
         let mut out = Cover::new(num_vars);
         let mut covered = vec![0u64; self.pos.words_per_column()];
         let mut expanded = 0usize;
@@ -449,7 +432,7 @@ impl ColumnScan {
             if !contributes {
                 continue;
             }
-            let cube = if expanded < cfg.max_expanded_cubes {
+            let cube = if expanded < MAX_EXPANDED_CUBES {
                 expanded += 1;
                 self.expand_cube(&seed)
             } else {
@@ -693,7 +676,6 @@ mod tests {
         let ds = dataset_from(|m| (m ^ (m >> 1)) & 1 == 1, 5);
         let cfg = EspressoConfig {
             first_irredundant: true,
-            ..EspressoConfig::default()
         };
         let cover = minimize_dataset(&ds, &cfg);
         check_valid(&cover, &ds);
@@ -800,10 +782,7 @@ mod tests {
         ];
         for (nv, f) in oracles {
             for first_irredundant in [false, true] {
-                let cfg = EspressoConfig {
-                    first_irredundant,
-                    ..EspressoConfig::default()
-                };
+                let cfg = EspressoConfig { first_irredundant };
                 // Complete care set.
                 let full = dataset_from(&f, nv);
                 assert_eq!(

@@ -40,7 +40,7 @@ proptest! {
 
     #[test]
     fn first_irredundant_implements_care_set(ds in arb_dataset()) {
-        let cfg = EspressoConfig { first_irredundant: true, ..EspressoConfig::default() };
+        let cfg = EspressoConfig { first_irredundant: true };
         let cover = minimize_dataset(&ds, &cfg);
         for (p, o) in ds.iter() {
             prop_assert_eq!(cover.eval(p), o, "wrong on {}", p);
@@ -59,7 +59,7 @@ proptest! {
         // integer counts and orders, so the covers must be identical cube
         // for cube — in both espresso modes.
         for first_irredundant in [false, true] {
-            let cfg = EspressoConfig { first_irredundant, ..EspressoConfig::default() };
+            let cfg = EspressoConfig { first_irredundant };
             let cols = minimize_dataset(&ds, &cfg);
             let rows = minimize_dataset_row_major(&ds, &cfg);
             prop_assert_eq!(

@@ -47,6 +47,9 @@ impl Activation {
     }
 }
 
+/// L2 weight decay of every SGD update.
+const WEIGHT_DECAY: f32 = 1e-5;
+
 /// MLP architecture and training hyper-parameters.
 #[derive(Clone, Debug)]
 pub struct MlpConfig {
@@ -63,8 +66,6 @@ pub struct MlpConfig {
     /// example's is applied on its own, with step `learning_rate / |batch|`
     /// (see [`Mlp::train`]).
     pub batch_size: usize,
-    /// L2 weight decay.
-    pub weight_decay: f32,
     /// RNG seed for init and shuffling.
     pub seed: u64,
 }
@@ -77,7 +78,6 @@ impl Default for MlpConfig {
             epochs: 60,
             learning_rate: 0.5,
             batch_size: 32,
-            weight_decay: 1e-5,
             seed: 0,
         }
     }
@@ -205,7 +205,7 @@ impl Dense {
     /// One example's SGD update from the layer's inputs, in order, and the
     /// gradient at its pre-activations. A pruned weight's gradient is its
     /// decay term alone, which holds it at `0.0`.
-    fn update<X>(&mut self, inputs: X, delta: &[f32], lr: f32, decay: f32)
+    fn update<X>(&mut self, inputs: X, delta: &[f32], lr: f32)
     where
         X: Iterator<Item = f32> + Clone,
     {
@@ -217,7 +217,6 @@ impl Dense {
             inputs,
             delta,
             lr,
-            decay,
         };
         by_spans(n, &mut step);
         for (b, &d) in self.bias.iter_mut().zip(delta) {
@@ -313,13 +312,12 @@ struct Step<'a, X> {
     inputs: X,
     delta: &'a [f32],
     lr: f32,
-    decay: f32,
 }
 
 impl<X: Iterator<Item = f32> + Clone> Span for Step<'_, X> {
     #[inline(always)]
     fn run<const B: usize, const L: usize>(&mut self, first: usize) {
-        let (lr, decay) = (self.lr, self.decay);
+        let lr = self.lr;
         // A copy in registers: the weight stores could alias the slice.
         let delta = *blocks::<_, B, L>(self.delta, first);
         let n = self.n;
@@ -330,7 +328,7 @@ impl<X: Iterator<Item = f32> + Clone> Span for Step<'_, X> {
                 let old = w[k];
                 w[k] = std::array::from_fn(|j| {
                     let g = if live[k][j] { delta[k][j] * x } else { 0.0 };
-                    old[j] - lr * (g + decay * old[j])
+                    old[j] - lr * (g + WEIGHT_DECAY * old[j])
                 });
             }
         }
@@ -480,11 +478,11 @@ impl Mlp {
                     *d *= self.activation.derivative(x, y);
                 }
                 let input = s.act[l - 1].iter().copied();
-                layer.update(input, &s.delta, lr, cfg.weight_decay);
+                layer.update(input, &s.delta, lr);
                 std::mem::swap(&mut s.delta, &mut s.below);
             }
             let input = (0..self.num_inputs).map(|i| if pattern.get(i) { 1.0 } else { 0.0 });
-            self.layers[0].update(input, &s.delta, lr, cfg.weight_decay);
+            self.layers[0].update(input, &s.delta, lr);
         }
     }
 

@@ -290,11 +290,6 @@ impl Cube {
         })
     }
 
-    /// Base-2 logarithm of the number of minterms in the cube.
-    pub fn log2_size(&self) -> usize {
-        self.num_vars - self.literal_count()
-    }
-
     /// Any single minterm contained in the cube (dashes become zeros).
     pub fn some_pattern(&self) -> Pattern {
         let mut p = Pattern::zeros(self.num_vars);

@@ -313,18 +313,6 @@ impl Dataset {
         }
         out
     }
-
-    /// Relabels the dataset with a new output closure (used for boosting
-    /// residual fitting on signs).
-    pub fn with_outputs(&self, outputs: Vec<bool>) -> Dataset {
-        assert_eq!(outputs.len(), self.len(), "output count mismatch");
-        Dataset {
-            num_inputs: self.num_inputs,
-            patterns: self.patterns.clone(),
-            outputs,
-            columns: OnceLock::new(),
-        }
-    }
 }
 
 impl fmt::Debug for Dataset {
