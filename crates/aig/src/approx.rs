@@ -161,9 +161,8 @@ pub fn reduce_traced_with(aig: &Aig, cfg: &ApproxConfig, pipeline: &Pipeline) ->
                 }
             }
         }
-        let mut next = next.expect("loop sets next");
         // Reclaim exact gates the constants exposed before dropping more.
-        next = pipeline.run_fixpoint(&next, 1);
+        let next = pipeline.run_fixpoint(&next.expect("loop sets next"), 1);
         // substitute_constants + cleanup must make progress; if constant
         // propagation somehow removed nothing, force progress by giving up.
         if next.num_ands() >= current.num_ands() {
